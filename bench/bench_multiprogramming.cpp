@@ -210,7 +210,9 @@ int main() {
       bc.offline = cfg.offline;
       const auto st = sim::simulate_static_local(g, bc);
 
-      const std::string window = "[" + table::format_cell(window_start) + ",inf)";
+      std::string window = "[";
+      window += table::format_cell(window_start);
+      window += ",inf)";
       t.row(victims, window, ws.makespan,
             static_cast<double>(ws.makespan) / static_cast<double>(t_online),
             st.makespan,

@@ -9,9 +9,10 @@
 //                      (fib with cutoff 0: pure spawn machinery), plus a
 //                      wide parallel_for leg at P = max(2, hw) that keeps
 //                      several workers hammering the join path at once
-//   * pool reuse rate  fraction of task allocations served without a fresh
-//                      carve (task_pool freelists, or recycled slab blocks
-//                      when CILKPP_SLAB routes the pool through src/alloc)
+//   * pool blocks      task_pool allocations per spawn on the pair and fib
+//                      legs: their closures fit in the child's frame slot,
+//                      so a spawn takes no block (the work-first spawn
+//                      path, DESIGN.md §4.7)
 //   * slab flatness    re-running the contention leg against a warmed-up
 //                      slab layer must add ZERO system allocations — the
 //                      "never touches ::operator new at steady state" claim,
@@ -43,19 +44,31 @@ namespace {
 using cilkpp::rt::context;
 using cilkpp::rt::scheduler;
 
+std::uint64_t pool_allocs() {
+  return cilkpp::rt::task_pool_totals().total_allocs();
+}
+
+struct pair_result {
+  double best_ns = 0;
+  std::uint64_t spawns = 0;
+  std::uint64_t pool_allocs = 0;  ///< task_pool blocks taken by the timed batches
+};
+
 /// Best-of-`reps` time for one spawn+sync pair, measured over batches big
 /// enough to swamp the clock. Best-of (not mean) because every perturbation
 /// — IRQ, sibling CI job, frequency ramp — only ever adds time.
-double measure_pair_ns() {
+pair_result measure_pair_ns() {
   constexpr std::size_t batch = 200'000;
   constexpr int reps = 5;
   scheduler sched(1);
   double best = 1e30;
+  std::uint64_t allocs = 0;
   sched.run([&](context& ctx) {
-    for (std::size_t i = 0; i < 10'000; ++i) {  // warm pool + arena chunks
+    for (std::size_t i = 0; i < 10'000; ++i) {  // warm arena chunks + deque
       ctx.spawn([](context&) {});
       ctx.sync();
     }
+    allocs = pool_allocs();
     for (int r = 0; r < reps; ++r) {
       cilkpp::stopwatch sw;
       for (std::size_t i = 0; i < batch; ++i) {
@@ -66,14 +79,16 @@ double measure_pair_ns() {
           static_cast<double>(sw.elapsed_ns()) / static_cast<double>(batch);
       if (ns < best) best = ns;
     }
+    allocs = pool_allocs() - allocs;
   });
-  return best;
+  return {best, batch * reps, allocs};
 }
 
 struct throughput {
   unsigned workers = 0;
   const char* workload = "";
   std::uint64_t spawns = 0;
+  std::uint64_t pool_allocs = 0;  ///< task_pool blocks taken by the timed run
   double elapsed_s = 0;
   double spawns_per_sec() const {
     return elapsed_s > 0 ? static_cast<double>(spawns) / elapsed_s : 0;
@@ -88,6 +103,7 @@ throughput measure_fib_throughput(unsigned workers, unsigned n) {
     return cilkpp::workloads::fib(ctx, n > 4 ? n - 4 : n, 0);
   });
   sched.reset_stats();
+  const std::uint64_t allocs = pool_allocs();
   cilkpp::stopwatch sw;
   const std::uint64_t r =
       sched.run([n](context& ctx) { return cilkpp::workloads::fib(ctx, n, 0); });
@@ -95,6 +111,7 @@ throughput measure_fib_throughput(unsigned workers, unsigned n) {
   t.workers = sched.num_workers();
   t.workload = "fib_cutoff0";
   t.elapsed_s = sw.elapsed_s();
+  t.pool_allocs = pool_allocs() - allocs;
   t.spawns = sched.stats().spawns;
   cilkpp::do_not_optimize(r);
   return t;
@@ -146,7 +163,8 @@ int main(int argc, char** argv) {
 
   const auto pool_before = cilkpp::rt::task_pool_totals();
 
-  const double pair_ns = measure_pair_ns();
+  const pair_result pair = measure_pair_ns();
+  const double pair_ns = pair.best_ns;
   const throughput tp1 = measure_fib_throughput(1, 24);
   const throughput tp_hw =
       hw > 1 ? measure_fib_throughput(hw, 24) : tp1;
@@ -177,12 +195,25 @@ int main(int argc, char** argv) {
   for (std::size_t c = 0; c < std::size(pool_after.classes); ++c) {
     reused += pool_after.classes[c].reused - pool_before.classes[c].reused;
   }
-  const double reuse_rate =
-      allocs > 0 ? static_cast<double>(reused) / static_cast<double>(allocs) : 0;
+  auto per_spawn = [](std::uint64_t blocks, std::uint64_t spawns) {
+    return spawns > 0 ? static_cast<double>(blocks) / static_cast<double>(spawns)
+                      : 0.0;
+  };
+  struct pool_leg {
+    const char* name;
+    double allocs_per_spawn;
+  };
+  const pool_leg pool_legs[] = {
+      {"pair", per_spawn(pair.pool_allocs, pair.spawns)},
+      {"fib_p1", per_spawn(tp1.pool_allocs, tp1.spawns)},
+      {"fib_phw", per_spawn(tp_hw.pool_allocs, tp_hw.spawns)},
+  };
 
-  // Loose sanity thresholds (see header comment): catastrophic-only.
+  // Loose sanity thresholds (see header comment): catastrophic-only, except
+  // the pool gate, which is the allocation-free spawn contract itself (a
+  // few blocks of slack per hundred spawns, none needed today).
   constexpr double pair_ns_max = 2000.0;
-  constexpr double reuse_rate_min = 0.5;
+  constexpr double allocs_per_spawn_max = 0.01;
   constexpr double spawns_per_sec_min = 1e5;
   // Steady-state flatness: a warmed-up slab layer must not touch the system
   // allocator again. A handful of stragglers are tolerated (a worker thread
@@ -194,10 +225,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: pair_ns %.1f > %.1f\n", pair_ns, pair_ns_max);
     ok = false;
   }
-  if (reuse_rate < reuse_rate_min) {
-    std::fprintf(stderr, "FAIL: pool reuse rate %.3f < %.3f\n", reuse_rate,
-                 reuse_rate_min);
-    ok = false;
+  for (const pool_leg& leg : pool_legs) {
+    if (leg.allocs_per_spawn > allocs_per_spawn_max) {
+      std::fprintf(stderr, "FAIL: %s leg: %.4f task_pool allocs/spawn > %.2f\n",
+                   leg.name, leg.allocs_per_spawn, allocs_per_spawn_max);
+      ok = false;
+    }
   }
   for (const throughput* t : {&tp1, &tp_hw, &tp_wide}) {
     if (t->spawns_per_sec() < spawns_per_sec_min) {
@@ -234,7 +267,10 @@ int main(int argc, char** argv) {
   w.field("allocs", allocs);
   w.field("frees", frees);
   w.field("reused", reused);
-  w.field("reuse_rate", reuse_rate);
+  w.key("allocs_per_spawn");
+  w.begin_object();
+  for (const pool_leg& leg : pool_legs) w.field(leg.name, leg.allocs_per_spawn);
+  w.end_object();
   w.field("oversize_allocs",
           pool_after.oversize_allocs() - pool_before.oversize_allocs());
   w.field("oversize_frees",
@@ -255,7 +291,7 @@ int main(int argc, char** argv) {
   w.key("thresholds");
   w.begin_object();
   w.field("pair_ns_max", pair_ns_max);
-  w.field("reuse_rate_min", reuse_rate_min);
+  w.field("allocs_per_spawn_max", allocs_per_spawn_max);
   w.field("spawns_per_sec_min", spawns_per_sec_min);
   w.field("slab_steady_delta_max", slab_steady_delta_max);
   w.field("passed", ok);

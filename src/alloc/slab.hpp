@@ -1,9 +1,10 @@
 // cilkpp_slab — the runtime's two-level internal allocator (cheetah's
 // internal-malloc generalized; Bonwick's magazine design).
 //
-// Motivation (paper Sec. 3, the work-first principle): every cilk_spawn
-// allocates a task frame, every reducer touch may allocate a view, and the
-// spawn path must stay within the <2% serial-overhead budget. A system
+// Motivation (paper Sec. 3, the work-first principle): a spawn with a large
+// closure boxes it in a task_pool block, every reducer touch may allocate a
+// view, deep spines grow slot-arena chunks, and the spawn path must stay
+// within the <2% serial-overhead budget. A system
 // malloc costs a lock or CAS in the common case; even the task_pool's
 // thread-local freelists fall back to ::operator new on every cold miss and
 // cap-overflow. The slab allocator removes the system allocator from the
@@ -54,7 +55,7 @@ namespace cilkpp::alloc {
 
 /// Block size classes. Multiples of 64 so block boundaries are cache-line
 /// boundaries; geometric so any request wastes < 2x. Covers every runtime
-/// object: spawn_task closures (64–512), slot_arena chunks (~1–2 KiB),
+/// object: boxed spawn closures (64–512), slot_arena chunks (~1–2 KiB),
 /// reducer views (usually 64), stress pool rows (64 each).
 inline constexpr std::size_t class_sizes[] = {64,  128,  256, 512,
                                               1024, 2048, 4096};

@@ -3,93 +3,43 @@
 
 #include "runtime/scheduler.hpp"
 
-// The spawn/join hot path here is entirely lock-free (DESIGN.md §4,
-// "lock-free join"). The ownership discipline that replaces the old
-// per-frame mutex:
+// The slow paths of a frame: the helping loop of a sync that has to wait,
+// the delivering fold, the called/root epilogues and reducer access. The
+// spawn/join fast path itself is defined inline in scheduler.hpp; it is
+// entirely lock-free and, for a child that is never stolen, free of atomic
+// read-modify-writes (DESIGN.md §4.7, "lock-free join"). The ownership
+// discipline:
 //
 //   * Arena STRUCTURE (append, clear/fold) is touched only by the single
 //     strand executing this frame — only it spawns, calls, syncs, or
 //     accesses reducers through this frame. Appends never move existing
 //     slots (chunked storage), so children holding slot pointers are safe.
-//   * Slot CONTENTS of a child slot are written by exactly one child —
-//     the child owns its slot exclusively from spawn until its
-//     release-decrement of pending_ publishes the writes.
+//   * A child slot holds the child's task record from the spawn until the
+//     child's implicit sync; the child then destroys the record, rebuilds
+//     the slot's result fields and writes its results there. Exactly one
+//     child owns each slot, from the spawn until it counts its join.
+//   * The join counts: spawned_ (owner-only), joined_local_ (bumped with a
+//     plain increment by a child that ran on this frame's own worker —
+//     that worker's thread is the one executing this frame, so the
+//     increment is sequenced with every owner read), and joined_stolen_
+//     (release-incremented by a child that ran on another worker).
 //   * The owner reads child-slot contents only in fold paths, which run
-//     strictly after wait_children observed pending_ == 0 with an acquire
-//     load. That acquire pairs with every child's release fetch_sub (RMWs
-//     extend the release sequence), ordering all slot writes before all
-//     fold reads — the exact edge the mutex used to provide, from the
-//     fence pair the counter already needed.
+//     strictly after wait_children saw every child joined. Its acquire
+//     load of joined_stolen_ pairs with every stolen child's release
+//     increment (RMWs extend the release sequence), ordering all their
+//     slot writes before the fold reads; local children's writes are
+//     ordered by program order. A slot is reused only after that fold.
 
 namespace cilkpp::rt {
 
-context::context(scheduler* sched, worker* home, context* parent,
-                 frame_slot* parent_slot, kind k, std::uint64_t ped_hash,
-                 std::uint64_t birth_rank)
-    : sched_(sched),
-      home_(home),
-      parent_(parent),
-      parent_slot_(parent_slot),
-      kind_(k),
-      depth_(parent == nullptr ? 0 : parent->depth_ + 1),
-      ped_hash_(ped_hash) {
-#if CILKPP_PEDIGREE_ENABLED
-  birth_rank_ = birth_rank;
-#else
-  (void)birth_rank;
-#endif
-  CILKPP_ASSERT(home_ != nullptr, "context created off a worker");
-  // Single writer (this worker); relaxed load-max-store is race-free.
-  if (depth_ > home_->max_frame_depth.load(std::memory_order_relaxed)) {
-    home_->max_frame_depth.store(depth_, std::memory_order_relaxed);
-  }
-  // Live-frame census (ctor/dtor both run on the home worker, so the
-  // counter is single-writer and bump_counter's load+store suffices): the
-  // current count is this worker's call depth including nested helping; its
-  // peak bounds the deque depth in the stress oracle's busy-leaves check.
-  bump_counter(home_->live_frames);
-  const std::uint64_t live = home_->live_frames.load(std::memory_order_relaxed);
-  if (live > home_->peak_live_frames.load(std::memory_order_relaxed)) {
-    home_->peak_live_frames.store(live, std::memory_order_relaxed);
-  }
-  trace_record(home_, trace::event_kind::frame_begin, ped_hash_,
-               parent_ == nullptr ? 0 : parent_->ped_hash_,
-               static_cast<std::uint32_t>(depth_),
-               static_cast<std::uint16_t>(kind_));
-}
-
-context::~context() {
-  CILKPP_ASSERT(finished_, "context destroyed before its epilogue ran");
-  // The destructor runs on the home worker for every frame kind (child
-  // stealing never migrates a frame), so begin/end pairs nest per worker.
-  //
-  // Spawned frames record frame_end inside finish_spawned instead: this
-  // destructor runs *after* the parent's pending_ count was release-
-  // decremented, so the root sync could already have passed and trace
-  // teardown (session::assemble → scheduler::remove_trace + ring drain)
-  // could race a record issued here. Root and called frames are destroyed
-  // strictly inside run() on the thread that will later tear the trace
-  // down, so recording here is safe for them.
-  if (kind_ != kind::spawned) {
-    trace_record(home_, trace::event_kind::frame_end, ped_hash_);
-  }
-  const std::uint64_t prior =
-      home_->live_frames.load(std::memory_order_relaxed);
-  CILKPP_ASSERT(prior != 0, "live-frame census underflow");
-  home_->live_frames.store(prior - 1, std::memory_order_relaxed);
-}
-
-frame_slot* context::reserve_child_slot() { return arena_.append(true); }
-
-void context::wait_children() noexcept {
+void context::help_until_joined() noexcept {
   // The paper's sync is a *local* barrier: only this frame's children are
   // awaited. While they run elsewhere, this worker helps — first its own
   // deque (deepest work, preserving the stack discipline), then stealing —
-  // rather than blocking the OS thread. The common case (no outstanding
-  // children) is one acquire load.
-  chaos_perturb(home_, chaos_point::sync_enter);
+  // rather than blocking the OS thread. A child this worker runs counts
+  // its join in joined_local_ from inside help_one, on this very thread.
   std::uint32_t idle_rounds = 0;
-  while (pending_.load(std::memory_order_acquire) != 0) {
+  while (!all_joined()) {
     if (sched_->help_one(*home_)) {
       idle_rounds = 0;
       continue;
@@ -100,31 +50,9 @@ void context::wait_children() noexcept {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
-  chaos_perturb(home_, chaos_point::sync_exit);
 }
 
-std::exception_ptr context::fold_slots() {
-  // Fast path: no child slot since the last fold means nothing to wait for
-  // and nothing to fold — without child slots the arena holds at most one
-  // owner segment (new segments are only opened when the previous slot is
-  // a child slot), which a fold would pass through unchanged. The view
-  // cache stays valid too, since no view moves.
-  if (!arena_.has_children()) return nullptr;
-  // Precondition (asserted): children all completed — their release
-  // decrements were paired by wait_children's acquire, so plain reads of
-  // slot contents below (and of child_delivered_) are ordered after the
-  // children's writes.
-  CILKPP_ASSERT(pending_.load(std::memory_order_acquire) == 0,
-                "fold_slots with children still running");
-  // Clean fast path: no child delivered views or an exception (every child
-  // slot is still pristine) and no strand segment was opened, so the fold
-  // is the identity — drop the slot structure in O(1) and keep going. This
-  // is the steady state of a spawn+sync loop without reducers.
-  if (!child_delivered_.load(std::memory_order_relaxed) &&
-      arena_.all_children()) {
-    arena_.reset_clean();
-    return nullptr;
-  }
+std::exception_ptr context::fold_delivered() {
   // Folding consumes view objects; the strand-local cache may point into a
   // consumed segment. Only the owning strand calls fold paths, so this is
   // a plain write.
@@ -132,76 +60,15 @@ std::exception_ptr context::fold_slots() {
   std::exception_ptr first_exception;
   view_map folded;
   arena_.for_each([&](frame_slot& s) {
-    if (s.exception && !first_exception) first_exception = s.exception;
-    fold_view_maps(folded, std::move(s.views));
+    if (s.exception() && !first_exception) first_exception = s.exception();
+    fold_view_maps(folded, std::move(s.views()));
   });
   arena_.clear();
   child_delivered_.store(false, std::memory_order_relaxed);
   if (!folded.empty()) {
-    arena_.append(/*is_child=*/false)->views = std::move(folded);
+    arena_.append(/*is_child=*/false)->views() = std::move(folded);
   }
   return first_exception;
-}
-
-view_map context::take_final_views() {
-  if (arena_.empty()) return {};
-  CILKPP_ASSERT(arena_.size() == 1 && !arena_.last()->is_child,
-                "take_final_views requires folded slots");
-  view_map result = std::move(arena_.last()->views);
-  arena_.clear();
-  return result;
-}
-
-void context::sync() {
-  CILKPP_ASSERT(!finished_, "sync on a finished frame");
-  bump_rank();  // the strand after the sync is new
-  trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_));
-  wait_children();
-  std::exception_ptr ex = fold_slots();
-  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_));
-  if (ex) std::rethrow_exception(ex);
-}
-
-void context::finish_spawned(std::exception_ptr body_exception) noexcept {
-  trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
-  wait_children();  // implicit sync before a Cilk function returns
-  std::exception_ptr child_exception = fold_slots();
-  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
-  // The body's exception unwound past the implicit sync, so in serial
-  // execution it is what the parent would see; fall back to the serially
-  // earliest child exception otherwise.
-  std::exception_ptr deliver = body_exception ? body_exception : child_exception;
-  view_map final_views = take_final_views();
-
-  // Lock-free delivery: this child owns its parent-arena slot exclusively
-  // (one child per slot; the parent only appends elsewhere, never moves
-  // slots) until the release-decrement below publishes the writes to the
-  // parent's post-sync acquire.
-  frame_slot* s = parent_slot_;
-  CILKPP_ASSERT(s != nullptr && s->is_child, "spawn slot mismatch");
-  if (!final_views.empty() || deliver) {
-    if (!final_views.empty()) s->views = std::move(final_views);
-    s->exception = deliver;
-    // Tells the parent's fold that a slot has contents; without it the
-    // fold takes the clean fast path and never reads the slots. Relaxed:
-    // the release fetch_sub below publishes this store too.
-    parent_->child_delivered_.store(true, std::memory_order_relaxed);
-  }
-  finished_ = true;
-  // frame_end must be recorded *before* the parent learns this child is
-  // done: the decrement below may let the enclosing syncs — up to the root
-  // — complete, after which run() returns and the trace session may detach
-  // and drain the rings. Any record after this point would race that
-  // teardown (lost events at best, a push into a freed ring at worst).
-  trace_record(home_, trace::event_kind::frame_end, ped_hash_);
-  // Release so the parent's post-sync fold sees the delivered views.
-  const std::uint32_t prior =
-      parent_->pending_.fetch_sub(1, std::memory_order_release);
-  CILKPP_ASSERT(prior != 0, "pending child count underflow");
 }
 
 void context::finish_called() {
@@ -211,7 +78,7 @@ void context::finish_called() {
   if (final_views.empty()) return;
   // Owner-only: a called frame runs synchronously on the strand executing
   // the parent, so appending to the parent's arena here is the same
-  // single-strand append as the parent's own spawns. The parent's pending
+  // single-strand append as the parent's own spawns. The parent's outstanding
   // children (if any) write only their own slots' contents, never the
   // arena structure.
   context* parent = parent_;
@@ -220,7 +87,7 @@ void context::finish_called() {
     tail = parent->arena_.append(/*is_child=*/false);
   }
   // Caller updates so far are serially before the callee's: fold left.
-  fold_view_maps(tail->views, std::move(final_views));
+  fold_view_maps(tail->views(), std::move(final_views));
 }
 
 void context::finish_root() {
@@ -260,12 +127,12 @@ void context::finish_root_abandoned() noexcept {
 }
 
 std::unique_ptr<view_base> context::extract_view(hyperobject_base& h) {
-  CILKPP_ASSERT(pending_.load(std::memory_order_acquire) == 0,
+  CILKPP_ASSERT(all_joined(),
                 "extract_view with children still running; sync() first");
   if (std::exception_ptr ex = fold_slots()) std::rethrow_exception(ex);
   frame_slot* tail = arena_.last();
   if (tail == nullptr) return nullptr;
-  std::unique_ptr<view_base> out = tail->views.extract(&h);
+  std::unique_ptr<view_base> out = tail->views().extract(&h);
   if (out != nullptr && cached_hyper_ == &h) cached_hyper_ = nullptr;
   return out;
 }
@@ -278,8 +145,8 @@ view_base& context::hyper_view(hyperobject_base& h) {
   if (tail == nullptr || tail->is_child) {
     tail = arena_.append(/*is_child=*/false);
   }
-  view_base* v = tail->views.find(&h);
-  if (v == nullptr) v = tail->views.insert_new(&h, h.identity_view());
+  view_base* v = tail->views().find(&h);
+  if (v == nullptr) v = tail->views().insert_new(&h, h.identity_view());
   cached_hyper_ = &h;
   cached_view_ = v;
   return *v;

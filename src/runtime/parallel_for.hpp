@@ -35,9 +35,12 @@ void parallel_for_impl(context& ctx, Index lo, Index hi, const Body& body,
     // — one frame hosts the whole spine, the dag is the binary recursion).
     while (static_cast<std::uint64_t>(hi - lo) > grain) {
       Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](context& child) {
+      auto left = [lo, mid, &body, grain](context& child) {
         parallel_for_impl(child, lo, mid, body, grain);
-      });
+      };
+      static_assert(spawns_in_slot<decltype(left)>,
+                    "the halving closure spawns without a pool block");
+      ctx.spawn(left);
       lo = mid;
     }
     for (Index i = lo; i < hi; ++i) {
@@ -56,9 +59,12 @@ void parallel_for_impl(context& ctx, Index lo, Index hi, const Body& body,
             : pfor_burst_grains * grain;
     while (static_cast<std::uint64_t>(hi - lo) > burst) {
       Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](context& child) {
+      auto left = [lo, mid, &body, grain](context& child) {
         parallel_for_impl(child, lo, mid, body, grain);
-      });
+      };
+      static_assert(spawns_in_slot<decltype(left)>,
+                    "the halving closure spawns without a pool block");
+      ctx.spawn(left);
       lo = mid;
     }
     while (static_cast<std::uint64_t>(hi - lo) > grain) {

@@ -207,28 +207,6 @@ void scheduler::worker_main(unsigned id) {
   set_current_worker(nullptr);
 }
 
-bool scheduler::help_one(worker& w) {
-#if CILKPP_STRESS_ENABLED
-  // Force-steal-everything: under chaos, a worker may be told to serve
-  // another deque before its own, maximizing task migration. A failed
-  // forced steal falls through to the normal path, so progress is kept.
-  if (chaos_policy* c = w.chaos.load(std::memory_order_acquire)) {
-    if (c->prefer_steal(w.id) && steal_and_execute(w)) return true;
-  }
-#endif
-  chaos_perturb(&w, chaos_point::pop_bottom);
-  // A single-worker scheduler has no pool threads, hence no thief to race:
-  // the exclusive pop skips the Chase–Lev fence and last-element CAS.
-  const std::optional<task*> t = workers_.size() == 1
-                                     ? w.deque.pop_bottom_exclusive()
-                                     : w.deque.pop_bottom();
-  if (t) {
-    execute(w, *t);
-    return true;
-  }
-  return steal_and_execute(w);
-}
-
 bool scheduler::steal_and_execute(worker& w) {
   const std::size_t n = workers_.size();
   if (n < 2) return false;
@@ -259,16 +237,18 @@ bool scheduler::steal_and_execute(worker& w) {
       }
     }
     bump_counter(w.steal_attempts);  // thief-side counters: single writer
-    task* stolen = nullptr;
+    frame_slot* stolen = nullptr;
     if (workers_[victim]->deque.steal(stolen) == steal_result::success) {
       bump_counter(w.steals);
       bump_counter(w.steals_from[victim]);
       bump_counter(w.steal_dist_hist[w.victim_bucket[victim]]);
       // Thief→victim provenance: the stolen child frame, its parent, and
-      // who it was taken from. parent_frame is alive (it has a pending
-      // child) and its pedigree hash is immutable after construction.
-      trace_record(&w, trace::event_kind::steal, stolen->child_ped_hash,
-                   stolen->parent_frame->ped_hash_, 0,
+      // who it was taken from. The record is intact until the child runs,
+      // parent_frame is alive (it has an unjoined child) and its pedigree
+      // hash is immutable after construction.
+      const task& t = stolen->record<task>();
+      trace_record(&w, trace::event_kind::steal, t.child_ped_hash,
+                   t.parent_frame->ped_hash_, 0,
                    static_cast<std::uint16_t>(victim));
       chaos_perturb(&w, chaos_point::steal_success);
       execute(w, stolen);
@@ -278,37 +258,12 @@ bool scheduler::steal_and_execute(worker& w) {
   return false;
 }
 
-void scheduler::execute(worker& w, task* t) {
-  bump_counter(w.tasks_executed);  // w is the executing worker: single writer
-  chaos_perturb(&w, chaos_point::task_run);
-  t->execute();
-  destroy_task(t);
-}
-
-void scheduler::push(worker& w, task* t) {
-  w.deque.push_bottom(t);
-  // Owner-only peak tracking: push_bottom runs on w's thread, so the
-  // estimate is exact here and the load-max-store is single-writer.
-  const auto depth = static_cast<std::uint64_t>(w.deque.size_estimate());
-  if (depth > w.peak_deque.load(std::memory_order_relaxed)) {
-    w.peak_deque.store(depth, std::memory_order_relaxed);
+void scheduler::wake_one() {
+  {
+    std::lock_guard lock(idle_mu_);
+    ++wake_epoch_;
   }
-  chaos_perturb(&w, chaos_point::spawn_push);
-  if (workers_.size() > 1) {
-    // Wake half of the register→recheck→wait protocol (see worker_main).
-    // The fence orders the deque push before the idlers_ load — the
-    // Dekker-style edge that guarantees a parker either sees the task or
-    // is seen here. A single-worker scheduler skips all of it: there is
-    // nobody to wake, and the spawn fast path stays fence-free.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (idlers_.load(std::memory_order_relaxed) > 0) {
-      {
-        std::lock_guard lock(idle_mu_);
-        ++wake_epoch_;
-      }
-      idle_cv_.notify_one();
-    }
-  }
+  idle_cv_.notify_one();
 }
 
 worker_stats scheduler::stats() const {
@@ -359,13 +314,16 @@ void scheduler::remove_trace() {
                 "remove_trace while a run is in flight");
   // With no run in flight no worker can be mid-record, so clearing the
   // pointers is sufficient. Why: every record a worker issues while
-  // executing a task completes before that task's frame release-decrements
-  // its parent's pending_ (finish_spawned records frame_end last, before
-  // the decrement), and the steal record completes while the stolen task's
-  // parent still has pending_ > 0 — so all of them happen-before the root
-  // sync's acquire of pending_ == 0, i.e. before run() returned. After
-  // that, a pool worker only records on a *successful* steal, and with no
-  // run in flight every deque is empty.
+  // executing a child completes before that child's join is counted in
+  // its parent (finish_spawned and run_leaf record frame_end last, before
+  // the join), and the steal record completes while the stolen child is
+  // still unjoined. A join is ordered before the parent's sync passes —
+  // by program order when the child ran on the parent's own worker, by the
+  // release increment of joined_stolen_ and the parent's acquire load
+  // otherwise — and each frame joins its own parent only after its own
+  // implicit sync, so every record happens-before the root's sync, i.e.
+  // before run() returned. After that, a pool worker only records on a
+  // *successful* steal, and with no run in flight every deque is empty.
   for (auto& w : workers_) {
     w->trace_ring.store(nullptr, std::memory_order_release);
   }

@@ -62,6 +62,7 @@ namespace cilkpp::rt {
 
 class scheduler;
 class context;
+struct worker;
 
 /// Scheduling boundaries at which an installed chaos_policy may perturb the
 /// schedule (src/stress). Every one of these is a point where the paper's
@@ -97,29 +98,29 @@ class chaos_policy {
   virtual std::size_t pick_victim(unsigned worker_id, std::size_t nworkers) = 0;
 };
 
-/// A spawned child waiting in a deque. Allocated at spawn, freed after
-/// execution by the worker that ran it.
+/// The header of a spawned child's task record. A spawn builds the record
+/// in place in the child's frame_slot (slot_arena.hpp), over the result
+/// fields the child writes only after its closure is gone, and pushes the
+/// slot on its worker's deque: the record's address is its slot, so the
+/// header needs no slot pointer, and a child that is never stolen costs no
+/// allocation. Whichever worker pops or steals the slot calls `run`, which
+/// consumes the record: it runs the child, destroys the record and rebuilds
+/// the slot's result fields before it delivers the child's results into
+/// them and signals the join — after that signal the parent may reuse or
+/// free the slot.
 struct task {
-  task(context* parent, frame_slot* slot, std::uint64_t ped)
-      : parent_frame(parent), parent_slot(slot), child_ped_hash(ped) {}
-  virtual ~task() = default;
-  /// Runs the child on the calling worker and delivers its results
-  /// (reducer views, exception) into the parent's slot.
-  virtual void execute() = 0;
+  /// Runs the record in `slot` as a child frame on worker w (the calling
+  /// thread's worker).
+  using run_fn = void (*)(frame_slot& slot, worker& w);
 
-  context* parent_frame;
-  /// The child's slot in the parent's arena. Stable for the child's whole
-  /// life (slot_arena never moves slots), and exclusively the child's to
-  /// write until its release-decrement of the parent's pending count.
-  frame_slot* parent_slot;
-  std::uint64_t child_ped_hash;  ///< pedigree prefix captured at spawn time
+  task(run_fn r, context* parent, std::uint64_t ped, std::uint64_t birth)
+      : run(r), parent_frame(parent), child_ped_hash(ped) {
 #if CILKPP_PEDIGREE_ENABLED
-  /// The parent's rank at the spawn: the child's last rank-list element,
-  /// needed only to materialize full pedigrees (the hash above carries the
-  /// hot-path identity either way).
-  std::uint64_t child_birth_rank = 0;
+    child_birth_rank = birth;
+#else
+    (void)birth;
 #endif
-  std::uint32_t alloc_size = 0;  ///< block size for the task pool
+  }
 
   std::uint64_t birth_rank() const {
 #if CILKPP_PEDIGREE_ENABLED
@@ -128,14 +129,25 @@ struct task {
     return 0;
 #endif
   }
+
+  run_fn run;
+  context* parent_frame;
+  std::uint64_t child_ped_hash;  ///< pedigree prefix captured at spawn time
+#if CILKPP_PEDIGREE_ENABLED
+  /// The parent's rank at the spawn: the child's last rank-list element,
+  /// needed only to materialize full pedigrees (the hash above carries the
+  /// hot-path identity either way).
+  std::uint64_t child_birth_rank;
+#endif
 };
 
-/// Destroys and recycles a task block (tasks come from task_allocate).
-inline void destroy_task(task* t) noexcept {
-  const std::size_t size = t->alloc_size;
-  t->~task();
-  task_deallocate(t, size);
-}
+static_assert(sizeof(task) <= 32, "the record header is 32 bytes");
+
+/// True when a record type fits in a frame_slot.
+template <typename Record>
+inline constexpr bool fits_in_slot =
+    sizeof(Record) <= frame_slot::record_bytes &&
+    alignof(Record) <= alignof(frame_slot);
 
 /// Steal-distance histogram buckets: log2-spaced worker distances. Bucket 0
 /// is distance 0 (two workers pinned to the same CPU), bucket k ≥ 1 covers
@@ -261,7 +273,9 @@ struct worker {
 
   unsigned id;
   scheduler* sched;
-  chase_lev_deque<task*> deque;  // top_/bottom_ are line-padded internally
+  /// Slots of spawned children, each holding its task record; top_ and
+  /// bottom_ are line-padded internally.
+  chase_lev_deque<frame_slot*> deque;
   xoshiro256 rng;
   /// Single-writer stat block (every bump_counter target): 8 counters = 64
   /// bytes on exactly one line of their own, so the owner's spawn/sync-path
@@ -372,10 +386,11 @@ class context {
   /// the hottest path the runtime has. The leaf still replicates every
   /// observable effect of a spawned frame: trace events (frame/sync
   /// brackets), the live-frame census, depth accounting, pedigree chaining,
-  /// and exception delivery at the parent's sync. Not part of the public
-  /// model; user code spawns real frames.
+  /// and exception delivery at the parent's sync. The leaf refers to `body`
+  /// rather than copying it, so `body` must outlive this frame's next sync.
+  /// Not part of the public model; user code spawns real frames.
   template <typename Index, typename Body>
-  void spawn_leaf(Index begin, Index end, Body&& body);
+  void spawn_leaf(Index begin, Index end, const Body& body);
 
   /// cilk_sync: wait for every child this function instance spawned.
   /// Rethrows the (serially earliest) child exception, if any.
@@ -430,10 +445,6 @@ class context {
 
  private:
   friend class scheduler;
-  template <typename>
-  friend struct spawn_task;
-  template <typename, typename>
-  friend struct leaf_task;
 
   enum class kind : std::uint8_t { root, spawned, called };
 
@@ -447,19 +458,61 @@ class context {
     return ped::mix(h, r);
   }
 
-  /// Owner-only: appends a child slot to the arena and returns its address
-  /// (stable under growth — chunks are linked, never reallocated).
-  frame_slot* reserve_child_slot();
+  /// The spawn path shared by spawn and spawn_leaf: builds a Record in a
+  /// fresh child slot, counts the child only once its record exists, and
+  /// pushes the slot. If the record's construction throws, the slot is
+  /// left pristine and uncounted and the exception propagates.
+  template <typename Record, typename... Args>
+  void spawn_record_in_slot(task::run_fn run, Args&&... args);
 
-  /// Helps until all spawned children have completed (never throws).
+  /// task::run_fn of a spawned frame's record (spawn_record, boxed_record).
+  template <typename Record>
+  static void run_spawned(frame_slot& slot, worker& w);
+
+  /// task::run_fn of a spawn_leaf record.
+  template <typename Body, typename Index>
+  static void run_leaf(frame_slot& slot, worker& w);
+
+  /// True once every child this frame spawned has joined. Only the owner
+  /// calls it; the acquire pairs with stolen children's release increments.
+  bool all_joined() const {
+    return joined_local_ + joined_stolen_.load(std::memory_order_acquire) ==
+           spawned_;
+  }
+
+  /// Counts the join of one child that ran on worker w: a plain increment
+  /// when w is this frame's own worker (whose thread is the one executing
+  /// this frame), a release increment otherwise. The child's last act on
+  /// this frame.
+  void join_child(const worker& w) noexcept {
+    if (&w == home_) {
+      ++joined_local_;
+    } else {
+      joined_stolen_.fetch_add(1, std::memory_order_release);
+    }
+  }
+
+  /// Helps until all spawned children have joined (never throws).
   void wait_children() noexcept;
+  /// wait_children's loop, entered only when a child is still outstanding.
+  void help_until_joined() noexcept;
 
   /// Folds all slots left-to-right into one segment; returns the serially
   /// earliest child exception (or null).
   std::exception_ptr fold_slots();
+  /// fold_slots' walk, for a fold that is not the identity.
+  std::exception_ptr fold_delivered();
 
-  /// Spawned-child epilogue: implicit sync, fold, deliver into parent slot.
-  void finish_spawned(std::exception_ptr body_exception) noexcept;
+  /// Spawned-child epilogue, first half: the implicit sync and fold.
+  /// Returns the exception the parent must see — the body's, else the
+  /// serially earliest child exception. The closure is still alive here:
+  /// this frame's own children may refer to it until they joined.
+  std::exception_ptr sync_spawned(std::exception_ptr body_exception) noexcept;
+
+  /// Spawned-child epilogue, second half, once the record is destroyed and
+  /// the slot's result fields rebuilt: delivers views and exception into
+  /// the parent slot and signals the join.
+  void finish_spawned(std::exception_ptr deliver) noexcept;
 
   /// Called-frame epilogue: implicit sync (throws), fold into parent's
   /// current segment.
@@ -496,6 +549,13 @@ class context {
   context* parent_;
   frame_slot* parent_slot_;
   kind kind_;
+  bool finished_ = false;
+  // Join counts, owner-only (DESIGN.md §4.7): children spawned, and children
+  // that ran on this frame's own worker — whose thread is the thread
+  // executing this frame, so their joins are plain increments. Sums are
+  // compared modulo 2^32; only the number outstanding matters.
+  std::uint32_t spawned_ = 0;
+  std::uint32_t joined_local_ = 0;
   std::uint64_t depth_;
   std::uint64_t ped_hash_;  // hash of this frame's pedigree prefix
   std::uint64_t rank_ = 0;  // spawn/sync rank within this frame
@@ -503,7 +563,6 @@ class context {
   std::uint64_t birth_rank_ = 0;  // parent's rank when this frame was born
   std::uint64_t draws_ = 0;       // dprng draws on the current strand
 #endif
-  bool finished_ = false;
   // Strand-local view cache: repeat accesses to the same reducer within a
   // strand skip the flat-map scan. Safe because a view object is
   // heap-stable and only this frame's strand mutates the segment map;
@@ -513,18 +572,25 @@ class context {
   // Slot storage: structure (append/clear) is owner-only; a completing
   // child writes only the contents of its own slot.
   slot_arena arena_;
-  // --- Cross-worker fields, on their own cache line: completing children
-  // write these from arbitrary workers while the owner spins on pending_
-  // in wait_children. Padding them keeps that contention off the
-  // owner-hot fields above.
-  alignas(cache_line_size) std::atomic<std::uint32_t> pending_{0};
+  // --- Cross-worker fields, on their own cache line: stolen children
+  // write these from other workers while the owner polls them in
+  // wait_children. Padding them keeps that contention off the owner-hot
+  // fields above.
+  /// Joins of children that ran on another worker: each one's last act is
+  /// a release increment, which publishes its slot writes to the owner's
+  /// acquire in all_joined().
+  alignas(cache_line_size) std::atomic<std::uint32_t> joined_stolen_{0};
   /// Set (relaxed) by any completing child that delivered reducer views or
-  /// an exception into its slot; published by the same release-decrement of
-  /// pending_ that publishes the slot contents. While it stays false, the
-  /// post-sync fold knows every child slot is still pristine and skips the
-  /// fold walk entirely (fold_slots' clean fast path).
+  /// an exception into its slot; published by the same join that publishes
+  /// the slot contents. While it stays false, the post-sync fold knows
+  /// every child slot is still pristine and skips the fold walk entirely
+  /// (fold_slots' clean fast path).
   std::atomic<bool> child_delivered_{false};
 };
+
+// The split join counts sit in padding the owner fields already had, and
+// the task record lives in the child's slot, so no frame grew.
+static_assert(sizeof(context) <= 384, "context grew");
 
 /// Construction-time configuration for a scheduler instance. A process may
 /// own many independent schedulers (src/serve's runtime_set builds on this):
@@ -621,10 +687,6 @@ class scheduler {
 
  private:
   friend class context;
-  template <typename>
-  friend struct spawn_task;
-  template <typename, typename>
-  friend struct leaf_task;
 
   void worker_main(unsigned id);
   /// Fills every worker's near-first probe order and distance buckets from
@@ -634,8 +696,12 @@ class scheduler {
   /// Returns false if no work was found anywhere.
   bool help_one(worker& w);
   bool steal_and_execute(worker& w);
-  void execute(worker& w, task* t);
-  void push(worker& w, task* t);
+  /// Runs the child whose record `child` holds, on w.
+  void execute(worker& w, frame_slot* child);
+  /// Owner-only: pushes a spawned child's slot on w's deque.
+  void push(worker& w, frame_slot* child);
+  /// Wakes one parked worker (push's slow path).
+  void wake_one();
   /// Racy probe: true if any worker's deque looks non-empty. Used by the
   /// idle-parking recheck; exactness is provided by the protocol's fences,
   /// not by this estimate.
@@ -664,132 +730,390 @@ class scheduler {
 };
 
 // ---------------------------------------------------------------------------
-// Template implementations.
+// Template and inline implementations. Everything a spawn, a sync and a
+// child's run execute is defined here, so the whole spawn path of a frame
+// compiles into the code that spawns.
 
+/// The record of a spawned frame whose closure fits in its slot
+/// (fits_in_slot): the closure is stored in the record itself.
 template <typename Fn>
-struct spawn_task final : task {
-  spawn_task(context* parent, frame_slot* slot, Fn f, std::uint64_t ped)
-      : task(parent, slot, ped), fn(std::move(f)) {}
+struct spawn_record final : task {
+  template <typename F>
+  spawn_record(const task& header, F&& f)
+      : task(header), fn(std::forward<F>(f)) {}
 
-  void execute() override {
-    context child(parent_frame->sched_, scheduler::current_worker(), parent_frame,
-                  parent_slot, context::kind::spawned, child_ped_hash,
-                  birth_rank());
-    std::exception_ptr body_exception;
-    try {
-      fn(child);
-    } catch (...) {
-      body_exception = std::current_exception();
-    }
-    child.finish_spawned(body_exception);
-  }
+  Fn& closure() { return fn; }
 
   Fn fn;
 };
 
-/// A spawned body(i) range (see context::spawn_leaf). The execute() below is
-/// a hand-inlined specialization of spawn_task::execute for a frame that is
-/// known to spawn nothing, sync nothing, and touch no reducer: it performs
-/// the same bookkeeping in the same order — depth and live-frame census,
-/// frame_begin, body, the implicit-sync bracket, exception delivery into
-/// the parent slot, frame_end BEFORE the release-decrement that lets the
+/// True when spawning a closure of type Fn builds its record in the child's
+/// slot; otherwise the spawn boxes the closure in one task_pool block.
+template <typename Fn>
+inline constexpr bool spawns_in_slot =
+    fits_in_slot<spawn_record<std::decay_t<Fn>>>;
+
+/// The record of a spawned frame whose closure is too large or too aligned
+/// for its slot: the closure lives in one task_pool block, which the record
+/// frees when it is destroyed — before the child signals its join, so the
+/// pool balances the moment the enclosing sync passes.
+template <typename Fn>
+struct boxed_record final : task {
+  static_assert(alignof(Fn) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "task_pool blocks are aligned for operator new");
+
+  template <typename F>
+  boxed_record(const task& header, F&& f)
+      : task(header), fn(box(std::forward<F>(f))) {}
+  ~boxed_record() {
+    fn->~Fn();
+    task_deallocate(fn, sizeof(Fn));
+  }
+  boxed_record(const boxed_record&) = delete;
+  boxed_record& operator=(const boxed_record&) = delete;
+
+  Fn& closure() { return *fn; }
+
+  template <typename F>
+  static Fn* box(F&& f) {
+    void* mem = task_allocate(sizeof(Fn));
+    try {
+      return ::new (mem) Fn(std::forward<F>(f));
+    } catch (...) {
+      task_deallocate(mem, sizeof(Fn));
+      throw;
+    }
+  }
+
+  Fn* fn;
+};
+
+/// The record of a spawned body(i) range (context::spawn_leaf): the loop
+/// body by address and the range, run by context::run_leaf without a
+/// context.
+template <typename Body, typename Index>
+struct leaf_record final : task {
+  leaf_record(const task& header, const Body* b, Index lo, Index hi)
+      : task(header), body(b), begin(lo), end(hi) {}
+
+  const Body* body;
+  Index begin;
+  Index end;
+};
+
+template <typename Record, typename... Args>
+void context::spawn_record_in_slot(task::run_fn run, Args&&... args) {
+  CILKPP_ASSERT(!finished_, "spawn on a finished frame");
+  const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
+  // Entirely lock-free, and allocation-free unless the record boxes its
+  // closure: an owner-only arena append, the record built in the slot,
+  // plain counter bumps, and a Chase–Lev bottom push.
+  frame_slot* slot = arena_.append(/*is_child=*/true);
+  slot->close_result();
+  try {
+    ::new (static_cast<void*>(slot->bytes))
+        Record(task(run, this, child_ped, rank_), std::forward<Args>(args)...);
+  } catch (...) {
+    // The closure's copy threw, so the child never existed: its slot goes
+    // back to pristine and stays uncounted (it folds as the identity), and
+    // the frame's sync or unwinding epilogue has nothing to wait for.
+    slot->open_result();
+    throw;
+  }
+  trace_record(home_, trace::event_kind::spawn, ped_hash_, child_ped,
+               static_cast<std::uint32_t>(rank_));
+  bump_rank();  // the continuation after this spawn is a new strand
+  ++spawned_;
+  bump_counter(home_->spawns);
+  sched_->push(*home_, slot);
+}
+
+template <typename Fn>
+void context::spawn(Fn&& fn) {
+  using closure = std::decay_t<Fn>;
+  using record = std::conditional_t<spawns_in_slot<closure>,
+                                    spawn_record<closure>, boxed_record<closure>>;
+  spawn_record_in_slot<record>(&run_spawned<record>, std::forward<Fn>(fn));
+}
+
+template <typename Index, typename Body>
+void context::spawn_leaf(Index begin, Index end, const Body& body) {
+  using record = leaf_record<Body, Index>;
+  static_assert(fits_in_slot<record>, "a spawn_leaf record fits in its slot");
+  spawn_record_in_slot<record>(&run_leaf<Body, Index>, &body, begin, end);
+}
+
+template <typename Record>
+void context::run_spawned(frame_slot& slot, worker& w) {
+  Record& rec = slot.record<Record>();
+  context* parent = rec.parent_frame;
+  context child(parent->sched_, &w, parent, &slot, kind::spawned,
+                rec.child_ped_hash, rec.birth_rank());
+  std::exception_ptr body_exception;
+  try {
+    rec.closure()(child);
+  } catch (...) {
+    body_exception = std::current_exception();
+  }
+  std::exception_ptr deliver = child.sync_spawned(std::move(body_exception));
+  // The closure outlived the implicit sync, as a function's arguments do;
+  // now its bytes become the slot's result fields again.
+  std::destroy_at(&rec);
+  slot.open_result();
+  child.finish_spawned(std::move(deliver));
+}
+
+/// A hand-inlined specialization of run_spawned for a frame that is known
+/// to spawn nothing, sync nothing, and touch no reducer: it performs the
+/// same bookkeeping in the same order — depth and live-frame census,
+/// frame_begin, body, the implicit-sync bracket, exception delivery into the
+/// slot once the record is gone, frame_end BEFORE the join that lets the
 /// parent's sync pass (the trace-teardown ordering finish_spawned
 /// documents), and the census decrement last (where the context destructor
 /// would run) — without materializing a context.
 template <typename Body, typename Index>
-struct leaf_task final : task {
-  leaf_task(context* parent, frame_slot* slot, Body b, std::uint64_t ped,
-            Index begin, Index end)
-      : task(parent, slot, ped), body(std::move(b)), begin_(begin), end_(end) {}
-
-  void execute() override {
-    worker* w = scheduler::current_worker();
-    context* parent = parent_frame;
-    const std::uint64_t depth = parent->depth_ + 1;
-    if (depth > w->max_frame_depth.load(std::memory_order_relaxed)) {
-      w->max_frame_depth.store(depth, std::memory_order_relaxed);
-    }
-    bump_counter(w->live_frames);
-    const std::uint64_t live = w->live_frames.load(std::memory_order_relaxed);
-    if (live > w->peak_live_frames.load(std::memory_order_relaxed)) {
-      w->peak_live_frames.store(live, std::memory_order_relaxed);
-    }
-    trace_record(w, trace::event_kind::frame_begin, child_ped_hash,
-                 parent->ped_hash_, static_cast<std::uint32_t>(depth),
-                 static_cast<std::uint16_t>(context::kind::spawned));
-    std::exception_ptr body_exception;
-    try {
-      for (Index i = begin_; i < end_; ++i) body(i);
-    } catch (...) {
-      body_exception = std::current_exception();
-    }
-    // Implicit sync of a frame with no children: rank stays 0, nothing to
-    // wait for, nothing to fold.
-    trace_record(w, trace::event_kind::sync_begin, child_ped_hash, 0, 0, 1);
-    trace_record(w, trace::event_kind::sync_end, child_ped_hash, 0, 0, 1);
-    if (body_exception) {
-      CILKPP_ASSERT(parent_slot != nullptr && parent_slot->is_child,
-                    "spawn slot mismatch");
-      parent_slot->exception = body_exception;
-      parent->child_delivered_.store(true, std::memory_order_relaxed);
-    }
-    trace_record(w, trace::event_kind::frame_end, child_ped_hash);
-    const std::uint32_t prior =
-        parent->pending_.fetch_sub(1, std::memory_order_release);
-    CILKPP_ASSERT(prior != 0, "pending child count underflow");
-    const std::uint64_t prior_live =
-        w->live_frames.load(std::memory_order_relaxed);
-    CILKPP_ASSERT(prior_live != 0, "live-frame census underflow");
-    w->live_frames.store(prior_live - 1, std::memory_order_relaxed);
+void context::run_leaf(frame_slot& slot, worker& w) {
+  static_assert(std::is_trivially_destructible_v<leaf_record<Body, Index>>);
+  const leaf_record<Body, Index>& rec = slot.record<leaf_record<Body, Index>>();
+  context* parent = rec.parent_frame;
+  const std::uint64_t ped = rec.child_ped_hash;
+  const Body& body = *rec.body;
+  const Index begin = rec.begin;
+  const Index end = rec.end;
+  const std::uint64_t depth = parent->depth_ + 1;
+  if (depth > w.max_frame_depth.load(std::memory_order_relaxed)) {
+    w.max_frame_depth.store(depth, std::memory_order_relaxed);
   }
-
-  Body body;
-  Index begin_;
-  Index end_;
-};
-
-template <typename Fn>
-void context::spawn(Fn&& fn) {
-  CILKPP_ASSERT(!finished_, "spawn on a finished frame");
-  const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
-  trace_record(home_, trace::event_kind::spawn, ped_hash_, child_ped,
-               static_cast<std::uint32_t>(rank_));
-  bump_rank();  // the continuation after this spawn is a new strand
-  // Entirely lock-free from here: an owner-only arena append, a relaxed
-  // counter bump, a pooled (thread-local freelist) allocation, and a
-  // Chase–Lev bottom push.
-  frame_slot* slot = reserve_child_slot();
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  using task_type = spawn_task<std::decay_t<Fn>>;
-  void* mem = task_allocate(sizeof(task_type));
-  auto* t = new (mem) task_type(this, slot, std::forward<Fn>(fn), child_ped);
-  t->alloc_size = sizeof(task_type);
-#if CILKPP_PEDIGREE_ENABLED
-  t->child_birth_rank = rank_ - 1;  // rank before the bump above
-#endif
-  bump_counter(home_->spawns);
-  sched_->push(*home_, t);
+  bump_counter(w.live_frames);
+  const std::uint64_t live = w.live_frames.load(std::memory_order_relaxed);
+  if (live > w.peak_live_frames.load(std::memory_order_relaxed)) {
+    w.peak_live_frames.store(live, std::memory_order_relaxed);
+  }
+  trace_record(&w, trace::event_kind::frame_begin, ped, parent->ped_hash_,
+               static_cast<std::uint32_t>(depth),
+               static_cast<std::uint16_t>(kind::spawned));
+  std::exception_ptr body_exception;
+  try {
+    for (Index i = begin; i < end; ++i) body(i);
+  } catch (...) {
+    body_exception = std::current_exception();
+  }
+  // Implicit sync of a frame with no children: rank stays 0, nothing to
+  // wait for, nothing to fold.
+  trace_record(&w, trace::event_kind::sync_begin, ped, 0, 0, 1);
+  trace_record(&w, trace::event_kind::sync_end, ped, 0, 0, 1);
+  // The record is trivially destructible: rebuilding the result fields
+  // over it is all its destruction takes.
+  slot.open_result();
+  if (body_exception) {
+    CILKPP_ASSERT(slot.is_child, "spawn slot mismatch");
+    slot.exception() = std::move(body_exception);
+    parent->child_delivered_.store(true, std::memory_order_relaxed);
+  }
+  trace_record(&w, trace::event_kind::frame_end, ped);
+  parent->join_child(w);
+  const std::uint64_t prior_live = w.live_frames.load(std::memory_order_relaxed);
+  CILKPP_ASSERT(prior_live != 0, "live-frame census underflow");
+  w.live_frames.store(prior_live - 1, std::memory_order_relaxed);
 }
 
-template <typename Index, typename Body>
-void context::spawn_leaf(Index begin, Index end, Body&& body) {
-  CILKPP_ASSERT(!finished_, "spawn on a finished frame");
-  const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
-  trace_record(home_, trace::event_kind::spawn, ped_hash_, child_ped,
-               static_cast<std::uint32_t>(rank_));
-  bump_rank();  // the continuation after this spawn is a new strand
-  frame_slot* slot = reserve_child_slot();
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  using task_type = leaf_task<std::decay_t<Body>, Index>;
-  void* mem = task_allocate(sizeof(task_type));
-  auto* t = new (mem)
-      task_type(this, slot, std::forward<Body>(body), child_ped, begin, end);
-  t->alloc_size = sizeof(task_type);
+inline context::context(scheduler* sched, worker* home, context* parent,
+                        frame_slot* parent_slot, kind k, std::uint64_t ped_hash,
+                        std::uint64_t birth_rank)
+    : sched_(sched),
+      home_(home),
+      parent_(parent),
+      parent_slot_(parent_slot),
+      kind_(k),
+      depth_(parent == nullptr ? 0 : parent->depth_ + 1),
+      ped_hash_(ped_hash) {
 #if CILKPP_PEDIGREE_ENABLED
-  t->child_birth_rank = rank_ - 1;  // rank before the bump above
+  birth_rank_ = birth_rank;
+#else
+  (void)birth_rank;
 #endif
-  bump_counter(home_->spawns);
-  sched_->push(*home_, t);
+  CILKPP_ASSERT(home_ != nullptr, "context created off a worker");
+  // Single writer (this worker); relaxed load-max-store is race-free.
+  if (depth_ > home_->max_frame_depth.load(std::memory_order_relaxed)) {
+    home_->max_frame_depth.store(depth_, std::memory_order_relaxed);
+  }
+  // Live-frame census (ctor/dtor both run on the home worker, so the
+  // counter is single-writer and bump_counter's load+store suffices): the
+  // current count is this worker's call depth including nested helping; its
+  // peak bounds the deque depth in the stress oracle's busy-leaves check.
+  bump_counter(home_->live_frames);
+  const std::uint64_t live = home_->live_frames.load(std::memory_order_relaxed);
+  if (live > home_->peak_live_frames.load(std::memory_order_relaxed)) {
+    home_->peak_live_frames.store(live, std::memory_order_relaxed);
+  }
+  trace_record(home_, trace::event_kind::frame_begin, ped_hash_,
+               parent_ == nullptr ? 0 : parent_->ped_hash_,
+               static_cast<std::uint32_t>(depth_),
+               static_cast<std::uint16_t>(kind_));
+}
+
+inline context::~context() {
+  CILKPP_ASSERT(finished_, "context destroyed before its epilogue ran");
+  // The destructor runs on the home worker for every frame kind (child
+  // stealing never migrates a frame), so begin/end pairs nest per worker.
+  //
+  // Spawned frames record frame_end inside finish_spawned instead: this
+  // destructor runs *after* the frame's join was counted in its parent, so
+  // the root sync could already have passed and trace teardown
+  // (session::assemble → scheduler::remove_trace + ring drain) could race
+  // a record issued here. Root and called frames are destroyed
+  // strictly inside run() on the thread that will later tear the trace
+  // down, so recording here is safe for them.
+  if (kind_ != kind::spawned) {
+    trace_record(home_, trace::event_kind::frame_end, ped_hash_);
+  }
+  const std::uint64_t prior =
+      home_->live_frames.load(std::memory_order_relaxed);
+  CILKPP_ASSERT(prior != 0, "live-frame census underflow");
+  home_->live_frames.store(prior - 1, std::memory_order_relaxed);
+}
+
+inline std::exception_ptr context::sync_spawned(
+    std::exception_ptr body_exception) noexcept {
+  trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  wait_children();  // implicit sync before a Cilk function returns
+  std::exception_ptr child_exception = fold_slots();
+  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  // The body's exception unwound past the implicit sync, so in serial
+  // execution it is what the parent would see; fall back to the serially
+  // earliest child exception otherwise.
+  return body_exception ? body_exception : child_exception;
+}
+
+inline view_map context::take_final_views() {
+  if (arena_.empty()) return {};
+  CILKPP_ASSERT(arena_.size() == 1 && !arena_.last()->is_child,
+                "take_final_views requires folded slots");
+  view_map result = std::move(arena_.last()->views());
+  arena_.clear();
+  return result;
+}
+
+inline void context::finish_spawned(std::exception_ptr deliver) noexcept {
+  view_map final_views = take_final_views();
+
+  // Lock-free delivery: this child owns its parent-arena slot exclusively
+  // (one child per slot; the parent only appends elsewhere, never moves
+  // slots) until its join below publishes the writes to the parent's
+  // post-sync fold. The caller already rebuilt the slot's result fields
+  // over the destroyed record.
+  frame_slot* s = parent_slot_;
+  CILKPP_ASSERT(s != nullptr && s->is_child, "spawn slot mismatch");
+  if (!final_views.empty() || deliver) {
+    if (!final_views.empty()) s->views() = std::move(final_views);
+    s->exception() = std::move(deliver);
+    // Tells the parent's fold that a slot has contents; without it the
+    // fold takes the clean fast path and never reads the slots. Relaxed:
+    // the join below publishes this store too.
+    parent_->child_delivered_.store(true, std::memory_order_relaxed);
+  }
+  finished_ = true;
+  // frame_end must be recorded *before* the parent learns this child is
+  // done: the join below may let the enclosing syncs — up to the root —
+  // complete, after which run() returns and the trace session may detach
+  // and drain the rings. Any record after this point would race that
+  // teardown (lost events at best, a push into a freed ring at worst).
+  trace_record(home_, trace::event_kind::frame_end, ped_hash_);
+  // The last touch of the parent and the slot: once counted, the parent's
+  // sync may pass, fold this slot and reuse it.
+  parent_->join_child(*home_);
+}
+
+inline void context::wait_children() noexcept {
+  chaos_perturb(home_, chaos_point::sync_enter);
+  if (!all_joined()) help_until_joined();
+  chaos_perturb(home_, chaos_point::sync_exit);
+}
+
+inline std::exception_ptr context::fold_slots() {
+  // Fast path: no child slot since the last fold means nothing to wait for
+  // and nothing to fold — without child slots the arena holds at most one
+  // owner segment (new segments are only opened when the previous slot is
+  // a child slot), which a fold would pass through unchanged. The view
+  // cache stays valid too, since no view moves.
+  if (!arena_.has_children()) return nullptr;
+  // Precondition (asserted): every child joined — so slot contents and
+  // child_delivered_ are ordered before the reads below (DESIGN.md §4.7).
+  CILKPP_ASSERT(all_joined(), "fold_slots with children still running");
+  // Clean fast path: no child delivered views or an exception (every child
+  // slot is still pristine) and no strand segment was opened, so the fold
+  // is the identity — drop the slot structure in O(1) and keep going. This
+  // is the steady state of a spawn+sync loop without reducers.
+  if (!child_delivered_.load(std::memory_order_relaxed) &&
+      arena_.all_children()) {
+    arena_.reset_clean();
+    return nullptr;
+  }
+  return fold_delivered();
+}
+
+inline void context::sync() {
+  CILKPP_ASSERT(!finished_, "sync on a finished frame");
+  bump_rank();  // the strand after the sync is new
+  trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_));
+  wait_children();
+  std::exception_ptr ex = fold_slots();
+  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
+               static_cast<std::uint32_t>(rank_));
+  if (ex) std::rethrow_exception(ex);
+}
+
+inline void scheduler::execute(worker& w, frame_slot* child) {
+  bump_counter(w.tasks_executed);  // w is the executing worker: single writer
+  chaos_perturb(&w, chaos_point::task_run);
+  // The record consumes itself: it is destroyed before the child's join is
+  // counted, so nothing here may touch the slot afterwards.
+  child->record<task>().run(*child, w);
+}
+
+inline bool scheduler::help_one(worker& w) {
+#if CILKPP_STRESS_ENABLED
+  // Force-steal-everything: under chaos, a worker may be told to serve
+  // another deque before its own, maximizing task migration. A failed
+  // forced steal falls through to the normal path, so progress is kept.
+  if (chaos_policy* c = w.chaos.load(std::memory_order_acquire)) {
+    if (c->prefer_steal(w.id) && steal_and_execute(w)) return true;
+  }
+#endif
+  chaos_perturb(&w, chaos_point::pop_bottom);
+  // A single-worker scheduler has no pool threads, hence no thief to race:
+  // the exclusive pop skips the Chase–Lev fence and last-element CAS.
+  const std::optional<frame_slot*> t = workers_.size() == 1
+                                           ? w.deque.pop_bottom_exclusive()
+                                           : w.deque.pop_bottom();
+  if (t) {
+    execute(w, *t);
+    return true;
+  }
+  return steal_and_execute(w);
+}
+
+inline void scheduler::push(worker& w, frame_slot* child) {
+  w.deque.push_bottom(child);
+  // Owner-only peak tracking: push_bottom runs on w's thread, so the
+  // estimate is exact here and the load-max-store is single-writer.
+  const auto depth = static_cast<std::uint64_t>(w.deque.size_estimate());
+  if (depth > w.peak_deque.load(std::memory_order_relaxed)) {
+    w.peak_deque.store(depth, std::memory_order_relaxed);
+  }
+  chaos_perturb(&w, chaos_point::spawn_push);
+  if (workers_.size() > 1) {
+    // Wake half of the register→recheck→wait protocol (see worker_main).
+    // The fence orders the deque push before the idlers_ load — the
+    // Dekker-style edge that guarantees a parker either sees the task or
+    // is seen here. A single-worker scheduler skips all of it: there is
+    // nobody to wake, and the spawn fast path stays fence-free.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (idlers_.load(std::memory_order_relaxed) > 0) wake_one();
+  }
 }
 
 template <typename Fn>

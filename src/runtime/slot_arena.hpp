@@ -1,12 +1,14 @@
-// Stable-address slot storage for a frame's strand segments and child
-// results — the data structure that makes the spawn/join path lock-free.
+// Stable-address slot storage for a frame's strand segments and spawned
+// children — the data structure that makes the spawn/join path lock-free
+// and allocation-free.
 //
-// Every cilk_spawn reserves one slot in the spawning frame; the child later
-// writes its folded reducer views and exception into that slot, possibly
-// from another worker, while the owner keeps appending slots for further
-// spawns. The old implementation kept slots in a std::vector guarded by a
-// per-frame mutex, because vector growth moves elements out from under a
-// concurrently completing child. The arena removes both costs at once:
+// Every cilk_spawn reserves one slot in the spawning frame. The slot first
+// holds the child's task record (scheduler.hpp): the spawn builds it in
+// place, so a child that is never stolen costs no allocation. Once the
+// child's closure is gone, the child rebuilds the slot's result fields in
+// the record's bytes and writes its folded reducer views and exception into
+// them, possibly from another worker, while the owner keeps appending slots
+// for further spawns. The arena makes that safe without a lock:
 //
 //   * Slots live in fixed-size chunks that are linked once and never
 //     reallocated, so a slot's address is stable for the arena epoch (from
@@ -16,8 +18,11 @@
 //     strand executes a frame at a time, and only that strand spawns, so
 //     appends need no synchronization. Children write only the CONTENTS of
 //     their own slot, each slot has exactly one writing child, and the
-//     parent reads contents only after its acquire of pending_ == 0 pairs
-//     with the child's release-decrement (DESIGN.md §4 "lock-free join").
+//     parent reads contents only after it counted the child's join — in
+//     program order for a child that ran on the parent's own worker, and
+//     through the release/acquire pair on the parent's stolen-join count
+//     otherwise (DESIGN.md §4.7 "lock-free join"). A slot is reused only
+//     after the next fold, i.e. after every child of the epoch joined.
 //
 // The first `inline_slots` slots are embedded in the arena itself (frames
 // that spawn a couple of children between syncs — the overwhelmingly common
@@ -29,6 +34,8 @@
 
 #include <cstddef>
 #include <exception>
+#include <memory>
+#include <new>
 
 #include "alloc/slab.hpp"
 #include "runtime/hyper_iface.hpp"
@@ -36,20 +43,67 @@
 
 namespace cilkpp::rt {
 
-/// Either one strand segment's reducer views, or a completed child's folded
-/// result; arena order is serial execution order (Sec. 5's ordered reduction
-/// depends on folding slots strictly left to right).
+/// Either one strand segment's reducer views, or a spawned child's task
+/// record and then its folded result; arena order is serial execution order
+/// (Sec. 5's ordered reduction depends on folding slots strictly left to
+/// right).
+///
+/// The result fields — views() and exception() — live in `bytes`, which a
+/// spawn reuses for the child's task record: close_result() ends the
+/// fields' lifetime so the record can be built there, and the child calls
+/// open_result() once it destroyed the record, before it delivers into the
+/// fields. A record therefore costs the slot no space of its own.
 struct frame_slot {
-  view_map views;
-  std::exception_ptr exception;  // child slots only
-  bool is_child = false;
+  frame_slot() noexcept { open_result(); }
+  ~frame_slot() { close_result(); }
+  frame_slot(const frame_slot&) = delete;
+  frame_slot& operator=(const frame_slot&) = delete;
+
+  view_map& views() noexcept {
+    return *std::launder(reinterpret_cast<view_map*>(bytes));
+  }
+  /// Child slots only.
+  std::exception_ptr& exception() noexcept {
+    return *std::launder(
+        reinterpret_cast<std::exception_ptr*>(bytes + sizeof(view_map)));
+  }
 
   void reset() {
-    views.clear();
-    exception = nullptr;
+    views().clear();
+    exception() = nullptr;
     is_child = false;
   }
+
+  /// Ends the result fields' lifetime; `bytes` then holds nothing until a
+  /// record is built there or open_result() runs.
+  void close_result() noexcept {
+    std::destroy_at(&views());
+    std::destroy_at(&exception());
+  }
+  /// Builds pristine result fields: no views, no exception.
+  void open_result() noexcept {
+    ::new (static_cast<void*>(bytes)) view_map();
+    ::new (static_cast<void*>(bytes + sizeof(view_map))) std::exception_ptr();
+  }
+
+  /// The record built in `bytes` by the spawn that reserved this slot.
+  template <typename Record>
+  Record& record() noexcept {
+    return *std::launder(reinterpret_cast<Record*>(bytes));
+  }
+
+  /// Room for a task record: exactly the result fields' bytes.
+  static constexpr std::size_t record_bytes =
+      sizeof(view_map) + sizeof(std::exception_ptr);
+
+  alignas(view_map) alignas(std::exception_ptr) std::byte bytes[record_bytes];
+  bool is_child = false;
 };
+
+static_assert(sizeof(view_map) % alignof(std::exception_ptr) == 0);
+// A record reuses the result fields' bytes instead of growing the slot (a
+// separate record buffer per slot raised fib's peak RSS by 5-7%).
+static_assert(sizeof(frame_slot) <= 72, "frame_slot grew");
 
 class slot_arena {
  public:
@@ -102,8 +156,10 @@ class slot_arena {
 
   /// True if any slot appended since the last clear() is a child slot.
   /// Owner-maintained, so `!has_children()` also implies no child can be
-  /// pending: every spawn appends a child slot before incrementing the
-  /// frame's pending count, and fold runs only after that count hits zero.
+  /// outstanding: every spawn appends its child slot before it counts the
+  /// child, and fold runs only after every counted child joined. (A slot
+  /// whose record construction threw stays appended but pristine and
+  /// uncounted; it folds as the identity.)
   bool has_children() const { return child_slots_ != 0; }
 
   /// True if every slot is a child slot (no strand segment was opened —

@@ -1,11 +1,14 @@
-// Size-classed, thread-local task allocator.
+// Size-classed, thread-local allocator for boxed spawn closures.
 //
-// Every cilk_spawn allocates a task object; the paper's <2%-overhead claim
-// (Sec. 3) depends on that path being cheap. A global operator new costs a
-// lock or a CAS in most allocators; this pool recycles task blocks through
-// thread-local free lists (a task may be freed on a different worker than
-// the one that allocated it — blocks simply migrate to the freeing worker's
-// list, which is fine because all blocks of a class are interchangeable).
+// A spawn builds its task record in the child's frame slot and allocates
+// nothing (scheduler.hpp, DESIGN.md §4.7); only a closure too large or too
+// aligned for the slot — nqueens, matmul, user code — is boxed in one block
+// from this pool, which the child frees before it signals its join. A
+// global operator new costs a lock or a CAS in most allocators; this pool
+// recycles blocks through thread-local free lists (a block may be freed on
+// a different worker than the one that allocated it — blocks simply migrate
+// to the freeing worker's list, which is fine because all blocks of a class
+// are interchangeable).
 //
 // The free lists are intrusive: a freed block stores the next pointer in
 // its own first word (every class size is ≥ 64 bytes, and the block's
@@ -14,24 +17,23 @@
 // reallocations — from the spawn path entirely: alloc is pop-head, free is
 // push-head, both a couple of instructions on thread-local state.
 //
-// Four size classes cover every spawn_task<Fn> the library generates
-// (lambda captures are small by construction — contexts are passed by
-// reference); larger requests fall back to operator new. size_class is
+// Four size classes cover boxed closures up to 512 bytes; larger requests
+// fall back to operator new. size_class is
 // branch-free (a bit_width on the rounded size), so the common path has no
 // data-dependent branches before the freelist pop.
 //
 // The pool keeps per-class alloc/free/reuse counters (relaxed atomics: each
 // thread writes only its own lists' counters; task_pool_totals() aggregates
 // across threads, including threads that have already exited). The global
-// balance — allocs == frees once a computation is quiescent — is the leak
-// oracle used by tests/task_pool_test.cpp and the stress harness: every
-// spawn allocates exactly one block and every executed task frees it, so an
-// imbalance means a leaked or double-freed task.
+// balance — allocs == frees the moment run() returns — is the leak oracle
+// used by tests/task_pool_test.cpp and the stress harness: every boxing
+// spawn allocates exactly one block and its child frees it before joining,
+// so an imbalance means a leaked or double-freed closure.
 //
 // With CILKPP_SLAB (the default) the block storage behind this interface is
 // the slab magazines of src/alloc: the pool keeps its counter taxonomy and
-// leak oracle (a slab block handed out for a task still counts as one live
-// task block), but pop/push go through alloc::slab_allocate_ex, whose
+// leak oracle (a slab block handed out for a closure still counts as one
+// live block), but pop/push go through alloc::slab_allocate_ex, whose
 // `recycled` bit feeds the same "reused" statistic the freelists tracked.
 // -DCILKPP_SLAB=OFF compiles the original freelist bodies back in.
 #pragma once
@@ -228,10 +230,10 @@ struct task_pool_stats {
            static_cast<std::int64_t>(total_frees());
   }
   /// Leak-balance oracle: true iff every allocated block has been freed.
-  /// Only meaningful while no computation is in flight (a worker between
-  /// t->execute() and destroy_task holds one live block).
+  /// Holds whenever no computation is in flight: a child frees its boxed
+  /// closure before it signals its join, so no block outlives run().
   bool balanced() const { return live() == 0; }
-  /// Requests above the largest size class. Non-zero means some spawn_task
+  /// Requests above the largest size class. Non-zero means some boxed
   /// closure outgrew the pool — it was still served (slab class or heap)
   /// and still counted, but the bench JSON flags it so a silently fat
   /// closure can't hide behind the pooled classes.

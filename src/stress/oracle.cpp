@@ -1,10 +1,8 @@
 #include "stress/oracle.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <thread>
 
 #include "cilkscreen/report.hpp"
 #include "cilkview/profile.hpp"
@@ -96,18 +94,6 @@ std::string fuzz_report::summary() const {
     s += f.describe();
   }
   return s;
-}
-
-bool wait_task_pool_balanced(unsigned timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!rt::task_pool_totals().balanced()) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return rt::task_pool_totals().balanced();
-    }
-    std::this_thread::yield();
-  }
-  return true;
 }
 
 rt::scheduler& stress_harness::sched_for(unsigned workers) {
@@ -393,10 +379,12 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
 #endif
 
   // --- Scheduler invariants, once quiescent. ---
-  if (!wait_task_pool_balanced()) {
-    const rt::task_pool_stats ps = rt::task_pool_totals();
+  // Immediate, not polled: a child frees its pool block before it signals
+  // its join, so the pool balances the moment run() returns.
+  const rt::task_pool_stats ps = rt::task_pool_totals();
+  if (!ps.balanced()) {
     fail("task-pool-leak",
-         fmt("pool never balanced: %llu allocs, %llu frees, %llu live",
+         fmt("pool not balanced after run(): %llu allocs, %llu frees, %llu live",
              static_cast<unsigned long long>(ps.total_allocs()),
              static_cast<unsigned long long>(ps.total_frees()),
              static_cast<unsigned long long>(ps.live())));

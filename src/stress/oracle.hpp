@@ -91,12 +91,6 @@ struct fuzz_report {
   std::string summary() const;
 };
 
-/// Waits (bounded) until the task pool is globally leak-balanced: task
-/// destruction may lag run()'s return by a beat, because a worker frees its
-/// last task after decrementing the parent's pending count. Returns false
-/// on timeout.
-bool wait_task_pool_balanced(unsigned timeout_ms = 2000);
-
 /// Runs stress cases against cached schedulers. Chaos policies are kept
 /// alive until the harness is destroyed (declared before the schedulers,
 /// destroyed after them) per the install_chaos lifetime rule.

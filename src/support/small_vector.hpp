@@ -107,7 +107,7 @@ class small_vector {
     } else {
       capacity_ = N;
       heap_ = nullptr;
-      std::memcpy(inline_, other.inline_, size_ * sizeof(T));
+      copy_inline(other);
     }
   }
 
@@ -120,10 +120,17 @@ class small_vector {
     } else {
       capacity_ = N;
       heap_ = nullptr;
-      std::memcpy(inline_, other.inline_, size_ * sizeof(T));
+      copy_inline(other);
     }
     other.size_ = 0;
     other.capacity_ = N;
+  }
+
+  /// Copies the whole inline buffer: a fixed-size copy of raw bytes, where
+  /// a size_-bounded one trips GCC 12's -Warray-bounds (it cannot see that
+  /// size_ <= N whenever the elements are inline).
+  void copy_inline(const small_vector& other) {
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
   }
 
   void release() {

@@ -224,18 +224,28 @@ table utilization_table(const timeline& t) {
   return out;
 }
 
+namespace {
+/// "w<id>", built by appending: GCC 12's -Wrestrict misfires at -O3 on
+/// operator+(const char*, std::string&&).
+std::string worker_label(unsigned id) {
+  std::string label = "w";
+  label += std::to_string(id);
+  return label;
+}
+}  // namespace
+
 table steal_matrix_table(const timeline& t) {
   std::vector<std::string> headers;
   headers.push_back("thief\\victim");
   for (unsigned v = 0; v < t.workers; ++v) {
-    headers.push_back("w" + std::to_string(v));
+    headers.push_back(worker_label(v));
   }
   headers.push_back("total");
   table out(std::move(headers));
   out.set_title("steals by victim");
   for (unsigned w = 0; w < t.workers; ++w) {
     std::vector<std::string> row;
-    row.push_back("w" + std::to_string(w));
+    row.push_back(worker_label(w));
     std::uint64_t total = 0;
     for (unsigned v = 0; v < t.workers; ++v) {
       total += t.steals_by_victim[w][v];

@@ -470,7 +470,10 @@ TEST(Dot, EmitsAllVerticesAndEdges) {
   EXPECT_NE(s.find("lightcoral"), std::string::npos);  // critical path marked
   // Every vertex declared.
   for (int label = 1; label <= 18; ++label) {
-    EXPECT_NE(s.find("n" + std::to_string(label - 1) + " ["), std::string::npos);
+    std::string vertex = "n";
+    vertex += std::to_string(label - 1);
+    vertex += " [";
+    EXPECT_NE(s.find(vertex), std::string::npos);
   }
 }
 

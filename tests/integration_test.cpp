@@ -100,7 +100,9 @@ TEST_P(Pipeline, SimulatorAgreesWithAnalyzerOnEveryDag) {
     cfg.steal_latency = 5;
     cfg.seed = GetParam() ^ 0xabcdULL;
     const sim::sim_result r = sim::simulate(g, cfg);
-    if (procs == 1) EXPECT_EQ(r.makespan, m.work);
+    if (procs == 1) {
+      EXPECT_EQ(r.makespan, m.work);
+    }
     EXPECT_GE(r.makespan, m.span);
     EXPECT_GE(static_cast<double>(procs) * static_cast<double>(r.makespan),
               static_cast<double>(m.work));
@@ -266,7 +268,11 @@ std::vector<prog_node> gen_program(xoshiro256& rng, unsigned depth, int& counter
     }
     seq.push_back(std::move(n));
   }
-  if (rng.below(2) == 0) seq.push_back(prog_node{.kind = prog_node::op::sync});
+  if (rng.below(2) == 0) {
+    prog_node join;
+    join.kind = prog_node::op::sync;
+    seq.push_back(std::move(join));
+  }
   return seq;
 }
 

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <list>
 #include <memory>
 #include <numeric>
 #include <cstring>
@@ -23,6 +25,9 @@
 #include "runtime/scheduler.hpp"
 #include "runtime/serial.hpp"
 #include "runtime/slot_arena.hpp"
+#include "runtime/task_pool.hpp"
+#include "workloads/fib.hpp"
+#include "workloads/qsort.hpp"
 
 namespace cilkpp::rt {
 namespace {
@@ -884,6 +889,127 @@ TEST(WideFanout, RepeatedWideSyncsReuseArenaChunks) {
     }
   });
   EXPECT_EQ(total.load(), 50'000u);
+}
+
+// --- Work-first spawn path: a child that is never stolen costs no pool
+// block (its record lives in its frame slot) and no atomic RMW. ---
+
+/// An engine whose spawn only checks, at compile time, that the runtime
+/// would build the closure's record in its frame slot. Instantiating a
+/// workload over it checks the workload's own spawn closures (their
+/// captures, hence their layout, do not depend on the engine).
+struct slot_probe {
+  template <typename Fn>
+  void spawn(Fn&&) {
+    static_assert(spawns_in_slot<Fn>, "closure would take a pool block");
+  }
+  void sync() {}
+  void account(std::uint64_t) {}
+};
+
+[[maybe_unused]] constexpr auto* fib_closure_probe =
+    &workloads::fib<slot_probe>;
+[[maybe_unused]] constexpr auto* qsort_closure_probe =
+    &workloads::qsort<slot_probe, double*>;
+static_assert(fits_in_slot<leaf_record<std::function<void(int)>, std::uint64_t>>,
+              "spawn_leaf records refer to the body instead of copying it");
+
+std::uint64_t pool_allocs() { return task_pool_totals().total_allocs(); }
+
+TEST(SpawnPath, InSlotSpawnsTakeNoPoolBlocks) {
+  scheduler sched(1);
+  const int fib25 = serial_fib(25);
+  sched.run([&](context& ctx) {  // warm-up: arena chunks, deque, slab
+    for (int i = 0; i < 1000; ++i) {
+      ctx.spawn([](context&) {});
+      ctx.sync();
+    }
+    EXPECT_EQ(fib(ctx, 20), serial_fib(20));
+  });
+  const std::uint64_t before = pool_allocs();
+  sched.run([&](context& ctx) {
+    for (int i = 0; i < 10'000; ++i) {
+      ctx.spawn([](context&) {});
+      ctx.sync();
+    }
+  });
+  EXPECT_EQ(pool_allocs(), before) << "empty spawn+sync pair loop";
+  const std::uint64_t fib_spawns_before = sched.stats().spawns;
+  const std::uint64_t value = sched.run([](context& ctx) {
+    return workloads::fib(ctx, 25, 0);
+  });
+  EXPECT_EQ(value, static_cast<std::uint64_t>(fib25));
+  EXPECT_GT(sched.stats().spawns, fib_spawns_before);
+  EXPECT_EQ(pool_allocs(), before) << "fib(25)";
+  EXPECT_TRUE(task_pool_totals().balanced());
+}
+
+TEST(SpawnPath, OversizedClosureTakesOnePoolBlockPerSpawn) {
+  scheduler sched(4);
+  std::array<std::uint64_t, 32> payload{};
+  payload.fill(1);
+  std::atomic<std::uint64_t> sum{0};
+  auto big = [&sum, payload](context&) {
+    sum.fetch_add(payload[31], std::memory_order_relaxed);
+  };
+  static_assert(!spawns_in_slot<decltype(big)>);
+  const task_pool_stats before = task_pool_totals();
+  sched.run([&](context& ctx) {
+    for (int i = 0; i < 100; ++i) ctx.spawn(big);
+    ctx.sync();
+  });
+  const task_pool_stats after = task_pool_totals();
+  EXPECT_EQ(sum.load(), 100u);
+  EXPECT_EQ(after.total_allocs() - before.total_allocs(), 100u);
+  EXPECT_EQ(after.total_frees() - before.total_frees(), 100u);
+  EXPECT_TRUE(after.balanced());
+}
+
+struct copy_error : std::runtime_error {
+  copy_error() : std::runtime_error("closure copy failed") {}
+};
+
+/// A closure whose copy constructor throws; `Pad` bytes of payload decide
+/// whether its record lives in the slot or boxes it in a pool block.
+template <std::size_t Pad>
+struct throwing_copy {
+  throwing_copy() = default;
+  throwing_copy(const throwing_copy&) { throw copy_error(); }
+  void operator()(context&) const {}
+  std::array<char, Pad> payload{};
+};
+
+class ThrowingClosureCopy : public ::testing::TestWithParam<unsigned> {};
+INSTANTIATE_TEST_SUITE_P(Workers, ThrowingClosureCopy, ::testing::Values(1u, 4u));
+
+TEST_P(ThrowingClosureCopy, ReachesTheCallerWithoutAHang) {
+  static_assert(spawns_in_slot<throwing_copy<1>>);
+  static_assert(!spawns_in_slot<throwing_copy<512>>);
+  scheduler sched(GetParam());
+  const task_pool_stats before = task_pool_totals();
+  const throwing_copy<1> small;
+  const throwing_copy<512> large;
+  // The spawn throws out of the root body: run()'s unwinding epilogue must
+  // have nothing to wait for.
+  EXPECT_THROW(sched.run([&](context& ctx) { ctx.spawn(small); }), copy_error);
+  EXPECT_THROW(sched.run([&](context& ctx) { ctx.spawn(large); }), copy_error);
+  // Thrown beside real children and caught in the frame: the failed
+  // spawn's slot stays pristine between two delivering children, and the
+  // frame's sync still folds them in serial order.
+  cilk::reducer<cilk::hyper::list_append<int>> order;
+  sched.run([&](context& ctx) {
+    ctx.spawn([&](context& child) { order.view(child).push_back(1); });
+    EXPECT_THROW(ctx.spawn(small), copy_error);
+    EXPECT_THROW(ctx.spawn(large), copy_error);
+    ctx.spawn([&](context& child) { order.view(child).push_back(2); });
+    ctx.sync();
+  });
+  EXPECT_EQ(order.value(), (std::list<int>{1, 2}));
+  const task_pool_stats after = task_pool_totals();
+  EXPECT_TRUE(after.balanced());
+  EXPECT_EQ(after.total_allocs() - before.total_allocs(), 2u);  // two boxes
+  // The scheduler is still usable.
+  EXPECT_EQ(sched.run([](context& ctx) { return fib(ctx, 15); }), serial_fib(15));
 }
 
 }  // namespace

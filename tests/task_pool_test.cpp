@@ -1,11 +1,12 @@
 // Task-pool statistics and the leak-balance oracle (the allocator behind
-// every cilk_spawn): per-class alloc/free/reuse accounting, the oversize
-// heap fallback, and global balance once schedulers are quiescent.
+// spawns whose closure is too large for its frame slot): per-class
+// alloc/free/reuse accounting, the oversize heap fallback, and global
+// balance the moment a run returns.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <array>
 #include <cstdint>
-#include <thread>
+#include <stdexcept>
 
 #include "runtime/scheduler.hpp"
 #include "runtime/task_pool.hpp"
@@ -16,25 +17,26 @@ using namespace cilkpp::rt;
 
 task_pool_stats snap() { return task_pool_totals(); }
 
-/// Task destruction may lag run()'s return by a beat: the freeing worker
-/// decrements the parent's pending count before destroy_task runs.
-bool wait_balanced(unsigned timeout_ms = 2000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!task_pool_totals().balanced()) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return task_pool_totals().balanced();
-    }
-    std::this_thread::yield();
-  }
-  return true;
-}
-
 std::uint64_t tree_sum(context& ctx, unsigned depth) {
   if (depth == 0) return 1;
   std::uint64_t a = 0;
   ctx.spawn([&a, depth](context& child) { a = tree_sum(child, depth - 1); });
   const std::uint64_t b = tree_sum(ctx, depth - 1);
+  ctx.sync();
+  return a + b;
+}
+
+/// tree_sum whose spawn closure carries a payload too large for a frame
+/// slot, so every spawn boxes its closure in one task_pool block.
+std::uint64_t boxed_tree_sum(context& ctx, unsigned depth) {
+  if (depth == 0) return 1;
+  std::uint64_t a = 0;
+  std::array<std::uint64_t, 16> payload{};
+  payload[0] = 1;
+  ctx.spawn([&a, depth, payload](context& child) {
+    a = payload[0] * boxed_tree_sum(child, depth - 1);
+  });
+  const std::uint64_t b = boxed_tree_sum(ctx, depth - 1);
   ctx.sync();
   return a + b;
 }
@@ -141,30 +143,36 @@ TEST(TaskPoolStats, LiveTracksOutstandingBlocks) {
 }
 
 TEST(TaskPoolStats, BalancedAfterSchedulerRuns) {
-  // The leak oracle: every spawn allocates exactly one task block and every
-  // executed task frees it, so the pool balances at quiescence no matter
-  // which worker freed which block.
+  // The pool contract: a closure that fits in its frame slot takes no pool
+  // block, a larger one takes exactly one block per spawn, and the child
+  // frees its block before it signals its join — so the pool is balanced
+  // the moment run() returns, no matter which worker freed which block.
+  scheduler sched(4);
+  constexpr unsigned depth = 10;
+  constexpr std::uint64_t spawns_per_run = (std::uint64_t{1} << depth) - 1;
   const task_pool_stats before = snap();
-  {
-    scheduler sched(4);
-    for (int round = 0; round < 4; ++round) {
-      const std::uint64_t sum =
-          sched.run([](context& ctx) { return tree_sum(ctx, 10); });
-      EXPECT_EQ(sum, std::uint64_t{1} << 10);
-    }
-    ASSERT_TRUE(wait_balanced());
+  for (int round = 0; round < 4; ++round) {
+    const std::uint64_t sum =
+        sched.run([](context& ctx) { return tree_sum(ctx, depth); });
+    EXPECT_EQ(sum, std::uint64_t{1} << depth);
+    EXPECT_TRUE(snap().balanced());
+  }
+  const task_pool_stats mid = snap();
+  EXPECT_EQ(mid.total_allocs(), before.total_allocs())
+      << "in-slot spawns took pool blocks";
+
+  for (int round = 0; round < 4; ++round) {
+    const std::uint64_t sum =
+        sched.run([](context& ctx) { return boxed_tree_sum(ctx, depth); });
+    EXPECT_EQ(sum, std::uint64_t{1} << depth);
+    const task_pool_stats now = snap();
+    EXPECT_TRUE(now.balanced())
+        << now.total_allocs() << " allocs vs " << now.total_frees()
+        << " frees";
   }
   const task_pool_stats after = snap();
-  EXPECT_TRUE(after.balanced())
-      << after.total_allocs() << " allocs vs " << after.total_frees()
-      << " frees";
-  // 4 rounds x (2^10 - 1) spawns actually flowed through the pool...
-  EXPECT_GE(after.total_allocs(), before.total_allocs() + 4 * 1023);
-  // ...and repeat runs recycle blocks instead of hitting operator new.
-  std::uint64_t reused = 0, before_reused = 0;
-  for (const auto& c : after.classes) reused += c.reused;
-  for (const auto& c : before.classes) before_reused += c.reused;
-  EXPECT_GT(reused, before_reused);
+  EXPECT_EQ(after.total_allocs() - mid.total_allocs(), 4 * spawns_per_run);
+  EXPECT_EQ(after.total_frees() - mid.total_frees(), 4 * spawns_per_run);
 }
 
 TEST(TaskPoolStats, BalanceSurvivesExceptionUnwinds) {
@@ -173,14 +181,15 @@ TEST(TaskPoolStats, BalanceSurvivesExceptionUnwinds) {
     try {
       sched.run([&](context& ctx) {
         ctx.spawn([](context& child) { (void)tree_sum(child, 6); });
+        ctx.spawn([](context& child) { (void)boxed_tree_sum(child, 6); });
         ctx.spawn([](context&) { throw std::runtime_error("boom"); });
         ctx.sync();
       });
       FAIL() << "exception did not propagate";
     } catch (const std::runtime_error&) {
     }
+    EXPECT_TRUE(snap().balanced()) << "round " << round;
   }
-  EXPECT_TRUE(wait_balanced());
 }
 
 }  // namespace
