@@ -59,8 +59,8 @@ void BM_fib_one_worker(benchmark::State& state) {
 BENCHMARK(BM_fib_one_worker)->Args({27, 20})->Args({27, 16})->Args({27, 12})->Args({27, 8});
 
 // Direct cost of the spawn machinery, independent of any workload: one
-// empty spawn + sync per iteration (1 worker, so the owner pops its own
-// deque — the paper's "in the common case, Cilk++ operates just like C++").
+// empty spawn + sync per iteration (1 worker, so the child runs as a call —
+// the paper's "in the common case, Cilk++ operates just like C++").
 void BM_spawn_sync_pair(benchmark::State& state) {
   scheduler sched(1);
   sched.run([&](context& ctx) {

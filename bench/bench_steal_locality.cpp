@@ -2,9 +2,10 @@
 // (DESIGN.md §4.11). Publishes BENCH_alloc.json for CI's perf-smoke job:
 //
 //   * steal-distance mix   per-bucket log2 histogram of |victim - thief|
-//                          distance over a steal-heavy run at P = 4 — the
-//                          near-first probe order should concentrate steals
-//                          in the low buckets
+//                          distance over a steal-heavy mix at P = 4,
+//                          repeated for at least 200 ms — the near-first
+//                          probe order should concentrate steals in the
+//                          low buckets
 //   * refill rate          fraction of slab blocks that crossed the depot
 //                          (magazine_refills x capacity / blocks served):
 //                          batching means this is a small fraction, i.e.
@@ -35,21 +36,35 @@ using cilkpp::rt::context;
 using cilkpp::rt::scheduler;
 using cilkpp::rt::worker_stats;
 
+struct steal_mix {
+  worker_stats stats;  ///< merged over every run
+  unsigned runs = 0;
+};
+
 /// A steal-heavy mixed workload: recursive fib keeps deques deep, the wide
-/// loop keeps the join path hot. Returns the merged stats of the run.
-worker_stats run_steal_mix(unsigned workers) {
+/// loop keeps the join path hot. One run takes a few milliseconds, which
+/// pool threads parked on a loaded host can miss entirely, so the mix is
+/// repeated on one scheduler until it has run for at least `floor_s` of
+/// wall clock; the scheduler's counters accumulate across the runs.
+steal_mix run_steal_mix(unsigned workers, double floor_s) {
   scheduler sched(workers);
   std::atomic<std::uint64_t> sink{0};
-  sched.run([&](context& ctx) {
-    cilkpp::do_not_optimize(cilkpp::workloads::fib(ctx, 22, 4));
-    cilkpp::rt::parallel_for(ctx, std::uint64_t{0}, std::uint64_t{1} << 15,
-                             [&](std::uint64_t i) {
-                               sink.fetch_add(i, std::memory_order_relaxed);
-                             },
-                             /*grain=*/1);
-  });
+  steal_mix mix;
+  cilkpp::stopwatch sw;
+  do {
+    sched.run([&](context& ctx) {
+      cilkpp::do_not_optimize(cilkpp::workloads::fib(ctx, 22, 4));
+      cilkpp::rt::parallel_for(ctx, std::uint64_t{0}, std::uint64_t{1} << 15,
+                               [&](std::uint64_t i) {
+                                 sink.fetch_add(i, std::memory_order_relaxed);
+                               },
+                               /*grain=*/1);
+    });
+    ++mix.runs;
+  } while (sw.elapsed_s() < floor_s);
   cilkpp::do_not_optimize(sink.load());
-  return sched.stats();
+  mix.stats = sched.stats();
+  return mix;
 }
 
 /// Best-of-3 wide-pfor throughput (spawns/s) at the given worker count.
@@ -84,10 +99,11 @@ int main(int argc, char** argv) {
 
   // Warm the slab layer (and the depot's recycled-magazine stacks) before
   // anything is measured, mirroring real steady-state operation.
-  (void)run_steal_mix(2);
+  (void)run_steal_mix(2, /*floor_s=*/0);
 
   const auto slab_before = cilkpp::alloc::slab_totals();
-  const worker_stats mix = run_steal_mix(4);
+  const steal_mix repeated = run_steal_mix(4, /*floor_s=*/0.2);
+  const worker_stats& mix = repeated.stats;
   const auto slab_after = cilkpp::alloc::slab_totals();
 
   std::uint64_t total_steals = 0;
@@ -141,6 +157,7 @@ int main(int argc, char** argv) {
   w.key("steal_mix");
   w.begin_object();
   w.field("workers", 4);
+  w.field("runs", repeated.runs);
   w.field("steals", total_steals);
   w.field("near_fraction", near_fraction);
   w.key("steal_distance");

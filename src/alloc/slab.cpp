@@ -10,7 +10,6 @@
 
 #include <cstring>
 #include <mutex>
-#include <vector>
 
 namespace cilkpp::alloc {
 namespace detail {
@@ -56,12 +55,16 @@ struct depot_class {
 
 struct depot {
   depot_class classes[num_classes];
-  // Thread registry: counter blocks are immortal (leaked deliberately) so
-  // slab_totals() and worker-stats snapshots may read a thread's counters
-  // after it exited.
-  std::mutex reg_mu;
-  std::vector<slab_thread_counters*> counter_blocks;
 };
+
+// Thread registry: every thread's counter block, newest first. Blocks are
+// immortal, so slab_totals() and worker-stats snapshots may read a thread's
+// counters after it exited. The list is what keeps them reachable to the
+// end of the process: its head is a constant-initialized static with no
+// destructor, so unlike a container in the depot it is still intact when
+// LeakSanitizer looks for unreachable blocks at exit.
+std::mutex registry_mu;
+slab_thread_counters* registry_head = nullptr;  // guarded by registry_mu
 
 depot& the_depot() {
   static depot d;
@@ -148,9 +151,9 @@ magazine* depot_return(std::size_t cls, magazine* full,
 
 slab_thread_counters* register_thread(thread_cache*) {
   auto* counters = new slab_thread_counters;  // immortal, see slab.hpp
-  depot& dep = the_depot();
-  std::lock_guard lock(dep.reg_mu);
-  dep.counter_blocks.push_back(counters);
+  std::lock_guard lock(registry_mu);
+  counters->next = registry_head;
+  registry_head = counters;
   return counters;
 }
 
@@ -200,10 +203,10 @@ slab_stats slab_totals() {
   for (std::size_t c = 0; c < num_classes; ++c) {
     out.classes[c].block_size = class_sizes[c];
   }
-  auto& dep = the_depot();
   {
-    std::lock_guard lock(dep.reg_mu);
-    for (const slab_thread_counters* t : dep.counter_blocks) {
+    std::lock_guard lock(registry_mu);
+    for (const slab_thread_counters* t = registry_head; t != nullptr;
+         t = t->next) {
       for (std::size_t c = 0; c <= num_classes; ++c) {
         out.classes[c].allocs += t->allocs[c].load(std::memory_order_relaxed);
         out.classes[c].frees += t->frees[c].load(std::memory_order_relaxed);
@@ -217,7 +220,7 @@ slab_stats slab_totals() {
     }
   }
   for (std::size_t c = 0; c < num_classes; ++c) {
-    auto& d = dep.classes[c];
+    auto& d = the_depot().classes[c];
     std::lock_guard lock(d.mu);
     out.slabs_live += d.slabs_created;
     out.magazines_live += d.magazines_created;

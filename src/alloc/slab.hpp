@@ -107,6 +107,9 @@ struct slab_thread_counters {
   /// never returned before teardown, so the process-wide sum is also the
   /// live-slab gauge.
   std::atomic<std::uint64_t> slabs_created{0};
+  /// The next-older block in the thread registry (slab.cpp); set once,
+  /// under the registry lock, before the block is published.
+  slab_thread_counters* next = nullptr;
 };
 
 namespace detail {

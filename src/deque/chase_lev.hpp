@@ -97,19 +97,6 @@ class chase_lev_deque {
     return value;
   }
 
-  /// Owner-only pop for a deque that provably has no concurrent thief (the
-  /// single-worker scheduler: no pool threads exist, every operation is
-  /// sequenced on one thread). Same LIFO result as pop_bottom, with none of
-  /// the fence/CAS traffic the concurrent pop needs to close its races with
-  /// steal(). Calling this while another thread may call steal() is a race.
-  std::optional<T> pop_bottom_exclusive() {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    if (t >= b) return std::nullopt;
-    bottom_.store(b - 1, std::memory_order_relaxed);
-    return buffer_.load(std::memory_order_relaxed)->get(b - 1);
-  }
-
   /// Thief: try to steal the oldest task from the top.
   steal_result steal(T& out) {
     std::int64_t t = top_.load(std::memory_order_acquire);

@@ -58,11 +58,163 @@ TEST(Scheduler, SingleWorkerRunsInline) {
   scheduler sched(1);
   EXPECT_EQ(sched.num_workers(), 1u);
   int side_effect = 0;
+  int seen_by_continuation = -1;
+  std::thread::id child_thread;
+  std::uint64_t child_depth = 0;
   sched.run([&](context& ctx) {
-    ctx.spawn([&](context&) { side_effect = 7; });
+    ctx.spawn([&](context& child) {
+      side_effect = 7;
+      child_thread = std::this_thread::get_id();
+      child_depth = child.depth();
+    });
+    // No thief exists, so the child ran as a call: its effect is visible
+    // to the continuation before the sync.
+    seen_by_continuation = side_effect;
     ctx.sync();
   });
   EXPECT_EQ(side_effect, 7);
+  EXPECT_EQ(seen_by_continuation, 7);
+  EXPECT_EQ(child_thread, std::this_thread::get_id());
+  EXPECT_EQ(child_depth, 1u);
+  // Counted as a spawn and as an executed task, and never queued.
+  const worker_stats s = sched.stats();
+  EXPECT_EQ(s.spawns, 1u);
+  EXPECT_EQ(s.tasks_executed, 1u);
+  EXPECT_EQ(s.peak_deque, 0u);
+  EXPECT_EQ(s.max_frame_depth, 1u);
+  EXPECT_EQ(s.peak_live_frames, 2u);  // the root and the child
+}
+
+// --- One worker: every spawn runs as a call, in serial order. ---
+
+TEST(SingleWorker, SpawnedChildRunsBeforeItsContinuation) {
+  scheduler sched(1);
+  std::vector<int> order;
+  sched.run([&](context& ctx) {
+    ctx.spawn([&](context& child) {
+      order.push_back(1);
+      child.spawn([&](context&) { order.push_back(2); });
+      order.push_back(3);
+    });
+    order.push_back(4);
+    ctx.sync();
+    order.push_back(5);
+  });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(SingleWorker, LeafGrainsRunBeforeTheirContinuation) {
+  scheduler sched(1);
+  std::vector<int> order;
+  const auto body = [&](int i) { order.push_back(i); };
+  sched.run([&](context& ctx) {
+    ctx.spawn_leaf(0, 3, body);
+    ctx.spawn_leaf(3, 6, body);
+    order.push_back(-1);
+    ctx.sync();
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, -1}));
+  // The body(i) lowering of parallel_for: every grain in index order.
+  std::vector<int> seen;
+  sched.run([&](context& ctx) {
+    parallel_for(ctx, 0, 1000, [&](int i) { seen.push_back(i); }, 4);
+  });
+  std::vector<int> expected(1000);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(SingleWorker, BatchedJobsRunInSubmissionOrder) {
+  // job_server's dispatch shape: one run() whose root spawns every job of
+  // a batch and joins them at its implicit sync.
+  scheduler sched(1);
+  std::vector<std::function<void(context&)>> batch;
+  std::vector<int> order;
+  for (int k = 0; k < 16; ++k) {
+    batch.push_back([&order, k](context& ctx) {
+      order.push_back(k);
+      ctx.spawn([&order, k](context&) { order.push_back(100 + k); });
+    });
+  }
+  sched.run([&](context& ctx) {
+    for (const auto& job : batch) {
+      const auto* jp = &job;
+      ctx.spawn([jp](context& child) { (*jp)(child); });
+    }
+  });
+  std::vector<int> expected;
+  for (int k = 0; k < 16; ++k) {
+    expected.push_back(k);
+    expected.push_back(100 + k);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SingleWorker, ChildExceptionIsHeldUntilTheNextSync) {
+  scheduler sched(1);
+  std::vector<std::string> log;
+  sched.run([&](context& ctx) {
+    ctx.spawn([&](context&) {
+      log.push_back("child1");
+      throw std::runtime_error("first");
+    });
+    log.push_back("continuation1");  // the throw did not stop the parent
+    ctx.spawn([&](context&) {
+      log.push_back("child2");
+      throw std::runtime_error("second");
+    });
+    log.push_back("continuation2");
+    try {
+      ctx.sync();
+    } catch (const std::runtime_error& e) {
+      log.push_back(std::string("sync:") + e.what());  // serially earliest
+    }
+    ctx.sync();  // the held exception was taken by the first sync
+    log.push_back("after");
+  });
+  EXPECT_EQ(log, (std::vector<std::string>{"child1", "continuation1", "child2",
+                                           "continuation2", "sync:first",
+                                           "after"}));
+  // A grandchild's exception reaches its grandparent through the child's
+  // implicit sync, and a body(i) grain's through the next sync too.
+  log.clear();
+  EXPECT_THROW(sched.run([&](context& ctx) {
+                 ctx.spawn([&](context& child) {
+                   child.spawn([](context&) { throw std::logic_error("inner"); });
+                   log.push_back("child continues");
+                 });
+                 log.push_back("root continues");
+                 ctx.sync();
+                 log.push_back("unreachable");
+               }),
+               std::logic_error);
+  EXPECT_EQ(log, (std::vector<std::string>{"child continues", "root continues"}));
+  int after_leaf = 0;
+  const auto throwing = [](int i) {
+    if (i == 1) throw std::out_of_range("grain");
+  };
+  EXPECT_THROW(sched.run([&](context& ctx) {
+                 ctx.spawn_leaf(0, 2, throwing);
+                 after_leaf = 1;
+                 ctx.sync();
+               }),
+               std::out_of_range);
+  EXPECT_EQ(after_leaf, 1);
+  // The scheduler is still usable.
+  EXPECT_EQ(sched.run([](context& ctx) { return fib(ctx, 15); }), serial_fib(15));
+}
+
+TEST(SingleWorker, MutableClosureRunsOnACopy) {
+  scheduler sched(1);
+  std::vector<int> calls;
+  auto counter = [n = 0, &calls](context&) mutable { calls.push_back(++n); };
+  sched.run([&](context& ctx) {
+    ctx.spawn(counter);
+    ctx.spawn(counter);
+    ctx.sync();
+  });
+  // Each spawn ran its own copy, so neither saw the other's increment.
+  EXPECT_EQ(calls, (std::vector<int>{1, 1}));
 }
 
 TEST(Scheduler, DefaultWorkerCountIsPositive) {
@@ -1007,7 +1159,10 @@ TEST_P(ThrowingClosureCopy, ReachesTheCallerWithoutAHang) {
   EXPECT_EQ(order.value(), (std::list<int>{1, 2}));
   const task_pool_stats after = task_pool_totals();
   EXPECT_TRUE(after.balanced());
-  EXPECT_EQ(after.total_allocs() - before.total_allocs(), 2u);  // two boxes
+  // Two boxes when the spawns push records; a one-worker scheduler runs
+  // each child on a copy of its closure on the stack, which needs no box.
+  EXPECT_EQ(after.total_allocs() - before.total_allocs(),
+            GetParam() == 1 ? 0u : 2u);
   // The scheduler is still usable.
   EXPECT_EQ(sched.run([](context& ctx) { return fib(ctx, 15); }), serial_fib(15));
 }

@@ -319,6 +319,37 @@ TEST(Session, CapturesConsistentFibTimelineOnFourWorkers) {
   EXPECT_EQ(steal_interval_table(cap.t).rows(), 4u);
 }
 
+TEST(Session, OneWorkerFibTraceRecordsEverySpawnAsASpawnedFrame) {
+  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
+  // A one-worker scheduler runs each spawn as a call; the trace must still
+  // show the same dag: one spawn event and one spawned frame per spawn.
+  constexpr std::uint64_t fib18_spawns = 4180;  // fib(19) - 1
+  fib_capture one = capture_fib(1, 18);
+  EXPECT_EQ(one.expected, 2584u);
+  ASSERT_EQ(one.dropped, 0u);
+  EXPECT_EQ(one.t.anomalies, 0u);
+  std::uint64_t spawn_events = 0;
+  for (const event& e : one.t.events) {
+    spawn_events += e.kind == event_kind::spawn ? 1 : 0;
+  }
+  std::uint64_t spawned_frames = 0;
+  for (const auto& [ped, f] : one.t.frames) {
+    EXPECT_TRUE(f.ended);
+    spawned_frames += f.kind == frame_kind::spawned ? 1 : 0;
+  }
+  EXPECT_EQ(spawn_events, fib18_spawns);
+  EXPECT_EQ(spawned_frames, fib18_spawns);
+  // The what-if replay rebuilds the same frames a four-worker trace does.
+  fib_capture four = capture_fib(4, 18);
+  ASSERT_EQ(four.dropped, 0u);
+  const reconstruction rec1 = reconstruct_dag(one.t);
+  const reconstruction rec4 = reconstruct_dag(four.t);
+  EXPECT_EQ(rec1.missing_frames, 0u);
+  EXPECT_EQ(rec4.missing_frames, 0u);
+  EXPECT_EQ(rec1.frames, rec4.frames);
+  EXPECT_EQ(rec1.frames, one.t.frames.size());
+}
+
 TEST(ChromeExport, EventCountMatchesRingTotalsAndNestingIsWellFormed) {
   if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 16);
