@@ -57,6 +57,13 @@ struct hyperobject_base {
   /// Folds the computation's final view into the hyperobject's leftmost
   /// (user-visible) value: leftmost := reduce(leftmost, final).
   virtual void absorb_final(std::unique_ptr<view_base> final_view) = 0;
+
+  /// True if strands that run in serial order may all update one view: a
+  /// reducer's monoid makes that equal to folding a view per strand. A
+  /// one-worker scheduler then gives every frame the root's current view
+  /// (context::hyper_view). The default keeps a view per strand segment at
+  /// every worker count, as a holder's contract needs.
+  virtual bool shares_serial_view() const { return false; }
 };
 
 /// How many (hyperobject, view) pairs a strand segment stores before its

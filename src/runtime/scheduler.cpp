@@ -319,7 +319,7 @@ void scheduler::remove_trace() {
   // the join), and the steal record completes while the stolen child is
   // still unjoined. A join is ordered before the parent's sync passes —
   // by program order when the child ran on the parent's own worker, by the
-  // release increment of joined_stolen_ and the parent's acquire load
+  // release increment of joins_.joined_stolen and the parent's acquire load
   // otherwise — and each frame joins its own parent only after its own
   // implicit sync, so every record happens-before the root's sync, i.e.
   // before run() returned. After that, a pool worker only records on a
