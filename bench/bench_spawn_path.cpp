@@ -240,7 +240,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-#if CILKPP_SLAB_ENABLED
   if (slab_steady_delta > slab_steady_delta_max) {
     std::fprintf(stderr,
                  "FAIL: slab system allocs not flat at steady state: "
@@ -249,7 +248,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(slab_steady_delta_max));
     ok = false;
   }
-#endif
 
   cilkpp::json_writer w;
   w.begin_object();
@@ -278,7 +276,6 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("slab");
   w.begin_object();
-  w.field("enabled", CILKPP_SLAB_ENABLED != 0);
   w.field("system_allocs", slab_after.system_allocs);
   w.field("slabs_live", slab_after.slabs_live);
   w.field("magazines_live", slab_after.magazines_live);

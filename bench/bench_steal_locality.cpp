@@ -137,13 +137,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: no steals recorded in the P=4 mix run\n");
     ok = false;
   }
-#if CILKPP_SLAB_ENABLED
   if (blocks_served > 0 && refill_rate > 0.5) {
     std::fprintf(stderr, "FAIL: refill rate %.3f > 0.5 (batching dead?)\n",
                  refill_rate);
     ok = false;
   }
-#endif
   if (speedup < 0.2) {
     std::fprintf(stderr, "FAIL: P=2/P=1 contention speedup %.2f < 0.2\n",
                  speedup);
@@ -153,7 +151,6 @@ int main(int argc, char** argv) {
   cilkpp::json_writer w;
   w.begin_object();
   w.field("benchmark", "steal_locality");
-  w.field("slab_enabled", CILKPP_SLAB_ENABLED != 0);
   w.key("steal_mix");
   w.begin_object();
   w.field("workers", 4);

@@ -32,11 +32,8 @@
 // task frames cannot false-share by construction. The slab header occupies
 // the first line alone.
 //
-// Consumers (task frames via task_pool, slot_arena chunks, reducer views,
-// trace rings, stress pools) route here when CILKPP_SLAB is ON (the
-// default). The library itself is always built — `-DCILKPP_SLAB=OFF` only
-// reverts the consumers to their previous allocation strategy (task_pool's
-// own freelists, plain operator new), keeping a bisectable fallback.
+// Consumers: task frames via task_pool, slot_arena chunks, reducer views,
+// trace rings and stress pools all allocate here.
 #pragma once
 
 #include <atomic>
@@ -46,10 +43,6 @@
 #include <new>
 
 #include "support/assert.hpp"
-
-#ifndef CILKPP_SLAB_ENABLED
-#define CILKPP_SLAB_ENABLED 1
-#endif
 
 namespace cilkpp::alloc {
 

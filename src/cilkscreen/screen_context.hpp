@@ -20,6 +20,7 @@
 
 #include "cilkscreen/detector.hpp"
 #include "cilkscreen/sporder.hpp"
+#include "runtime/cilk_for.hpp"
 
 namespace cilkpp::screen {
 
@@ -136,58 +137,11 @@ void run_under_detector(Detector& d, Fn&& fn) {
   d.sync(d.root());  // implicit sync of the root procedure
 }
 
-/// parallel_for lowering under the detector: serial loop over leaf frames,
-/// with the same binary-splitting frame structure as the runtime so the
-/// series-parallel relationships match the parallel execution's.
-template <typename D, typename Index, typename Body>
-void screen_for_impl(basic_screen_context<D>& ctx, Index lo, Index hi,
-                     const Body& body, std::uint64_t grain) {
-  if constexpr (std::is_invocable_v<const Body&, basic_screen_context<D>&,
-                                    Index>) {
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](basic_screen_context<D>& child) {
-        screen_for_impl(child, lo, mid, body, grain);
-      });
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(ctx, i);
-    ctx.sync();
-  } else {
-    // Mirror of the runtime's body(i) burst lowering (parallel_for.hpp):
-    // halve down to 32 grains, then one spawned leaf per grain with the
-    // last grain inline, so the SP relationships the detector certifies
-    // are exactly the parallel execution's.
-    const std::uint64_t burst =
-        grain > ~std::uint64_t{0} / 32 ? ~std::uint64_t{0} : 32 * grain;
-    while (static_cast<std::uint64_t>(hi - lo) > burst) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](basic_screen_context<D>& child) {
-        screen_for_impl(child, lo, mid, body, grain);
-      });
-      lo = mid;
-    }
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + static_cast<decltype(hi - lo)>(grain);
-      ctx.spawn([lo, mid, &body](basic_screen_context<D>&) {
-        for (Index i = lo; i < mid; ++i) body(i);
-      });
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(i);
-    ctx.sync();
-  }
-}
-
-template <typename D, typename Index, typename Body>
-void parallel_for(basic_screen_context<D>& ctx, Index begin, Index end,
-                  const Body& body, std::uint64_t grain = 1) {
-  if (begin >= end) return;
-  if (grain == 0) grain = 1;
-  ctx.call([&](basic_screen_context<D>& loop_frame) {
-    screen_for_impl(loop_frame, begin, end, body, grain);
-  });
-}
+/// parallel_for (runtime/cilk_for.hpp): the runtime's binary-splitting
+/// frame structure, so the series-parallel relationships the detector
+/// certifies are exactly the parallel execution's. No worker count: the
+/// default grain is 1.
+using rt::parallel_for;
 
 /// An instrumented variable: every get/set reports to the detector.
 /// The closest source-level analog of Cilkscreen's load/store interception.

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cilkview/profile.hpp"
+#include "runtime/cilk_for.hpp"
 #include "support/assert.hpp"
 
 namespace cilkpp::cilkview {
@@ -45,6 +46,10 @@ class online_context {
   auto call(Fn&& fn);
 
   void account(std::uint64_t units);
+
+  /// parallel_for charges each split's bookkeeping to the continuation
+  /// strand, as the recorder does. No worker count: the default grain is 1.
+  static constexpr std::uint64_t pfor_split_cost = 1;
 
  private:
   online_analyzer* a_;
@@ -197,56 +202,8 @@ inline void online_context::account(std::uint64_t units) {
   a_->account(frame_, units);
 }
 
-/// parallel_for lowering for the online analyzer: same shape as the
-/// recorder's, so measurements agree.
-template <typename Index, typename Body>
-void online_for_impl(online_context& ctx, Index lo, Index hi, const Body& body,
-                     std::uint64_t grain) {
-  if constexpr (std::is_invocable_v<const Body&, online_context&, Index>) {
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](online_context& child) {
-        online_for_impl(child, lo, mid, body, grain);
-      });
-      ctx.account(1);
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(ctx, i);
-    ctx.sync();
-  } else {
-    // Mirror of the runtime's body(i) burst lowering (parallel_for.hpp),
-    // so work/span measurements agree with the executed dag's shape.
-    const std::uint64_t burst =
-        grain > ~std::uint64_t{0} / 32 ? ~std::uint64_t{0} : 32 * grain;
-    while (static_cast<std::uint64_t>(hi - lo) > burst) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](online_context& child) {
-        online_for_impl(child, lo, mid, body, grain);
-      });
-      ctx.account(1);
-      lo = mid;
-    }
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + static_cast<decltype(hi - lo)>(grain);
-      ctx.spawn([lo, mid, &body](online_context&) {
-        for (Index i = lo; i < mid; ++i) body(i);
-      });
-      ctx.account(1);
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(i);
-    ctx.sync();
-  }
-}
-
-template <typename Index, typename Body>
-void parallel_for(online_context& ctx, Index begin, Index end, const Body& body,
-                  std::uint64_t grain = 1) {
-  if (begin >= end) return;
-  if (grain == 0) grain = 1;
-  ctx.call([&](online_context& loop_frame) {
-    online_for_impl(loop_frame, begin, end, body, grain);
-  });
-}
+/// parallel_for (runtime/cilk_for.hpp): the recorder's shape and split
+/// charges, so measurements agree with the recorded dag's.
+using rt::parallel_for;
 
 }  // namespace cilkpp::cilkview

@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "pedigree/pedigree.hpp"
+#include "runtime/cilk_for.hpp"
 
 namespace cilkpp::ped {
 
@@ -115,6 +116,11 @@ class replay_context {
     shared_->work += units;
   }
 
+  /// Replay is a serial elision: parallel_for's default grain is the
+  /// runtime's at P = 1. Pass an explicit grain to replay a run whose grain
+  /// differed (the runtime's default depends on the worker count).
+  unsigned num_workers() const { return 1; }
+
   /// Memory instrumentation hook (same shape as the cilkscreen contexts'):
   /// forwards the write plus the current strand's pedigree to the observer.
   void note_write(const void* p, std::size_t n, const char* label) {
@@ -197,69 +203,8 @@ class replay_context {
   bool on_spine_;
 };
 
-/// parallel_for under replay: mirrors the runtime's lowering exactly (same
-/// halving recursion, same call frame, same body(i) inline fast path) so the
-/// pedigrees of loop strands line up with the other engines. Pass an
-/// explicit grain to replay a run whose grain differed from the serial
-/// default (the runtime's default grain depends on the worker count).
-template <typename Index, typename Body>
-void replay_for_impl(replay_context& ctx, Index lo, Index hi, const Body& body,
-                     std::uint64_t grain) {
-  if constexpr (std::is_invocable_v<const Body&, replay_context&, Index>) {
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](replay_context& child) {
-        replay_for_impl(child, lo, mid, body, grain);
-      });
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(ctx, i);
-    ctx.sync();
-  } else {
-    // Mirror of the runtime's body(i) burst lowering (parallel_for.hpp):
-    // each leaf spawn consumes one rank, exactly as spawn_leaf does, so
-    // replay keys line up with the runtime's recorded pedigrees.
-    const std::uint64_t burst =
-        grain > ~std::uint64_t{0} / 32 ? ~std::uint64_t{0} : 32 * grain;
-    while (static_cast<std::uint64_t>(hi - lo) > burst) {
-      Index mid = lo + (hi - lo) / 2;
-      ctx.spawn([lo, mid, &body, grain](replay_context& child) {
-        replay_for_impl(child, lo, mid, body, grain);
-      });
-      lo = mid;
-    }
-    while (static_cast<std::uint64_t>(hi - lo) > grain) {
-      Index mid = lo + static_cast<decltype(hi - lo)>(grain);
-      ctx.spawn([lo, mid, &body](replay_context&) {
-        for (Index i = lo; i < mid; ++i) body(i);
-      });
-      lo = mid;
-    }
-    for (Index i = lo; i < hi; ++i) body(i);
-    ctx.sync();
-  }
-}
-
-template <typename Index, typename Body>
-void parallel_for(replay_context& ctx, Index begin, Index end, const Body& body,
-                  std::uint64_t grain = 0) {
-  if (begin >= end) return;
-  const auto n = static_cast<std::uint64_t>(end - begin);
-  if (grain == 0) {
-    // The serial engines' default: the runtime's rule at P = 1.
-    const std::uint64_t slack = n / 8;
-    grain = slack < 2048 ? slack : 2048;
-    if (grain == 0) grain = 1;
-  }
-  if constexpr (!std::is_invocable_v<const Body&, replay_context&, Index>) {
-    if (n <= grain) {
-      for (Index i = begin; i < end; ++i) body(i);
-      return;
-    }
-  }
-  ctx.call([&](replay_context& loop_frame) {
-    replay_for_impl(loop_frame, begin, end, body, grain);
-  });
-}
+/// parallel_for (runtime/cilk_for.hpp): the runtime's lowering, so the
+/// pedigrees of loop strands line up with the other engines.
+using rt::parallel_for;
 
 }  // namespace cilkpp::ped

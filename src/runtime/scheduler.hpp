@@ -178,8 +178,7 @@ struct worker_stats {
   std::uint64_t backoff_naps = 0;
   // --- Allocator activity attributed to this worker's thread: deltas of
   // the slab allocator's per-thread counters since the last reset_stats()
-  // (src/alloc; all zero when the thread never allocated, and effectively
-  // zero when -DCILKPP_SLAB=OFF routes consumers elsewhere).
+  // (src/alloc; all zero when the thread never allocated).
   std::uint64_t magazine_refills = 0;  ///< full magazines pulled from depot
   std::uint64_t magazine_returns = 0;  ///< full magazines pushed to depot
   std::uint64_t slabs_created = 0;     ///< 64 KiB slab carves on this thread
@@ -432,6 +431,8 @@ class context {
   std::unique_ptr<view_base> extract_view(hyperobject_base& h);
 
   scheduler& sched() const { return *sched_; }
+  /// Worker count of this frame's scheduler (parallel_for's default grain).
+  unsigned num_workers() const;
   /// Worker executing this frame (stable: child stealing never migrates a
   /// frame off the worker that started it).
   unsigned worker_id() const { return home_->id; }
@@ -1069,6 +1070,8 @@ void context::run_leaf(frame_slot& slot, worker& w) {
   parent->join_child(w);
   leave_frame(w);
 }
+
+inline unsigned context::num_workers() const { return sched_->num_workers(); }
 
 inline void context::enter_frame(worker& w, std::uint64_t depth) noexcept {
   // Single writer (this worker); relaxed load-max-store is race-free.

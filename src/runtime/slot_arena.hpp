@@ -215,7 +215,6 @@ class slot_arena {
     frame_slot slots[chunk_slots];
     chunk* next = nullptr;
 
-#if CILKPP_SLAB_ENABLED
     // Chunks come from the slab magazines: a deep parallel_for spine that
     // overflows its inline slots on many frames at once stays off the
     // system allocator, and chunk starts are cache-line boundaries.
@@ -225,7 +224,6 @@ class slot_arena {
     static void operator delete(void* p, std::size_t size) noexcept {
       alloc::slab_deallocate(p, size);
     }
-#endif
   };
 
   frame_slot inline_[inline_slots];

@@ -110,11 +110,7 @@ struct run_state {
   /// every chaos sweep's pools also exercise — and are counted by — the
   /// allocator under test.
   template <typename T>
-#if CILKPP_SLAB_ENABLED
   using pool_vector = std::vector<T, alloc::slab_std_allocator<T>>;
-#else
-  using pool_vector = std::vector<T>;
-#endif
 
   explicit run_state(const program& p)
       : slots(p.num_slots),

@@ -43,7 +43,8 @@ prog_node make_work(gen_state& g) {
 }
 
 /// Deque entries the lazy-splitting parallel_for spine pushes before its
-/// sync: one per halving of the remaining range (parallel_for_impl).
+/// sync: one per halving of the remaining range (the body(ctx, i) spine of
+/// pfor_detail::split, runtime/cilk_for.hpp).
 std::uint32_t pfor_spine_width(std::uint32_t iters, std::uint32_t grain) {
   std::uint32_t width = 0;
   std::uint32_t range = iters;

@@ -3,7 +3,10 @@
 // agree bit-for-bit with recording the dag and analyzing it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cilkview/online.hpp"
 #include "cilkview/profile.hpp"
@@ -11,9 +14,15 @@
 #include "dag/analysis.hpp"
 #include "dag/generators.hpp"
 #include "dag/recorder.hpp"
+#include "dag/serialize.hpp"
+#include "graph/bc.hpp"
+#include "graph/generate.hpp"
+#include "graph/pagerank.hpp"
 #include "support/rng.hpp"
+#include "workloads/bfs.hpp"
 #include "workloads/fib.hpp"
 #include "workloads/qsort.hpp"
+#include "workloads/spmv.hpp"
 
 namespace cilkpp::cilkview {
 namespace {
@@ -164,6 +173,123 @@ TEST(OnlineAnalyzer, UsesConstantFrameMemory) {
   EXPECT_EQ(p.work, 500000u);
   EXPECT_EQ(p.span, 500000u);  // fully serialized by the per-spawn syncs
   EXPECT_EQ(p.spawns, 100000u);
+}
+
+// --- Pinned recordings: the same dags and profile on every commit. ---
+//
+// The engine-vs-engine checks above cannot see a change that the recorder
+// and the online analyzer share (both run the one cilk_for lowering). These
+// pin the serialized text of each recorded dag, and the online profile of a
+// loop grid, to constants; a change to the lowering or to a workload's loops
+// that moves a single vertex, edge or work unit fails here.
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t saved_hash(const dag::graph& g) {
+  std::ostringstream text;
+  dag::save(text, g);
+  return fnv1a(text.str());
+}
+
+constexpr std::array<std::uint64_t, 7> grid_sizes{1, 2, 5, 33, 100, 1000, 5000};
+constexpr std::array<std::uint64_t, 6> grid_grains{0, 1, 3, 7, 64, 10000};
+
+/// Every (n, grain) loop of the grid in one frame, in the body(ctx, i) form
+/// (each iteration charges i % 5 + 1) or the body(i) form (leaves are
+/// empty; the shape and the split charges remain). Each loop is followed by
+/// one unit on the caller's strand, so neighbouring loops stay apart.
+template <typename Ctx>
+void loop_grid(Ctx& ctx, bool ctx_body) {
+  for (const std::uint64_t n : grid_sizes) {
+    for (const std::uint64_t grain : grid_grains) {
+      if (ctx_body) {
+        parallel_for(
+            ctx, std::uint64_t{0}, n,
+            [](Ctx& leaf, std::uint64_t i) { leaf.account(i % 5 + 1); },
+            grain);
+      } else {
+        parallel_for(ctx, std::uint64_t{0}, n, [](std::uint64_t) {}, grain);
+      }
+      ctx.account(1);
+    }
+  }
+}
+
+TEST(PinnedRecordings, LoopGridDags) {
+  const std::uint64_t ctx_body = saved_hash(dag::record(
+      [](dag::recorder_context& ctx) { loop_grid(ctx, true); }));
+  const std::uint64_t index_body = saved_hash(dag::record(
+      [](dag::recorder_context& ctx) { loop_grid(ctx, false); }));
+  EXPECT_EQ(ctx_body, 0x67456f4bfc0b4818ULL);
+  EXPECT_EQ(index_body, 0xb264bbf101ef4362ULL);
+}
+
+TEST(PinnedRecordings, LoopGridOnlineProfile) {
+  online_analyzer online;
+  online.run([](online_context& ctx) {
+    loop_grid(ctx, true);
+    loop_grid(ctx, false);
+  });
+  const profile p = online.result();
+  EXPECT_EQ(p.work, 142'155u);
+  EXPECT_EQ(p.span, 19'829u);
+  EXPECT_EQ(p.burdened_span, 726'626u);
+  EXPECT_EQ(p.spawns, 31'581u);
+  EXPECT_EQ(p.syncs, 7'888u);
+  EXPECT_EQ(p.strands, 71'051u);
+}
+
+/// The grains each workload is pinned at: the engine default, 1, and a
+/// coarse grain.
+constexpr std::array<std::uint64_t, 3> workload_grains{0, 1, 256};
+
+TEST(PinnedRecordings, WorkloadDags) {
+  const workloads::csr matrix = workloads::random_sparse_matrix(1500, 6, 7);
+  const std::vector<double> x(matrix.rows(), 0.5);
+  const graph::csr g = graph::rmat_graph_serial(10, 6000, 3);
+  const graph::csr gt = graph::transpose_serial(g);
+  constexpr std::array<std::uint64_t, 3> spmv{0xd1be7d45914e0e8fULL,
+                                              0xd1be7d45914e0e8fULL,
+                                              0xa745bac48d7f7d35ULL};
+  constexpr std::array<std::uint64_t, 3> bfs{0x5c1a43c1cd203018ULL,
+                                             0x5c1a43c1cd203018ULL,
+                                             0x07a5f92f13767fdbULL};
+  constexpr std::array<std::uint64_t, 3> bc_pr{0xaeb05931691ea91aULL,
+                                               0xaeb05931691ea91aULL,
+                                               0xec795395978ce0b4ULL};
+  constexpr std::array<std::uint64_t, 3> rmat{0x95e2eabf9fa1a49eULL,
+                                              0x95e2eabf9fa1a49eULL,
+                                              0x5d9152cb8d1aa1feULL};
+  for (std::size_t k = 0; k < workload_grains.size(); ++k) {
+    const std::uint64_t grain = workload_grains[k];
+    SCOPED_TRACE("grain " + std::to_string(grain));
+    EXPECT_EQ(saved_hash(dag::record([&](dag::recorder_context& ctx) {
+                (void)workloads::spmv(ctx, matrix, x, grain);
+              })),
+              spmv[k]);
+    EXPECT_EQ(saved_hash(dag::record([&](dag::recorder_context& ctx) {
+                (void)workloads::bfs(ctx, g, 0, grain);
+              })),
+              bfs[k]);
+    EXPECT_EQ(saved_hash(dag::record([&](dag::recorder_context& ctx) {
+                (void)graph::betweenness(
+                    ctx, g, gt, {.pivots = 2, .seed = 1, .grain = grain});
+                (void)graph::pagerank(ctx, g, gt,
+                                      {.iterations = 3, .grain = grain});
+              })),
+              bc_pr[k]);
+    EXPECT_EQ(saved_hash(dag::record([&](dag::recorder_context& ctx) {
+                (void)graph::rmat_graph(ctx, 10, 4000, 5, {}, grain);
+              })),
+              rmat[k]);
+  }
 }
 
 // --- Scaling-law fits. ---

@@ -310,6 +310,45 @@ TYPED_TEST(LintEngine, LockHeldAcrossSpawnAndSync) {
   EXPECT_EQ(la.records()[0].lock, a.id());
 }
 
+TYPED_TEST(LintEngine, LockHeldAroundAOneGrainLoopCrossesNothing) {
+  // A body(i) range within one grain runs inline on the caller's strand,
+  // as on the runtime: no loop frame, so no spawn or sync under the lock.
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
+  typename TypeParam::lint_analyzer la;
+  d.attach_lint(&la);
+  typename TestFixture::Mutex a(d);
+  int iterations = 0;
+  screen::run_under_detector(d, [&](Ctx& ctx) {
+    a.lock(ctx);
+    screen::parallel_for(ctx, 0, 1, [&](int) { ++iterations; });
+    a.unlock(ctx);
+  });
+  la.finish();
+  EXPECT_EQ(iterations, 1);
+  EXPECT_TRUE(la.clean()) << lint::render_lints(la.records(), d.procedures());
+  EXPECT_EQ(d.stats().procedures, 1u);  // the root only
+}
+
+TYPED_TEST(LintEngine, LockHeldAroundASplitLoop) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
+  typename TypeParam::lint_analyzer la;
+  d.attach_lint(&la);
+  typename TestFixture::Mutex a(d);
+  screen::run_under_detector(d, [&](Ctx& ctx) {
+    a.lock(ctx);
+    screen::parallel_for(ctx, 0, 8, [](int) {}, 2);
+    a.unlock(ctx);
+  });
+  la.finish();
+  ASSERT_EQ(la.records().size(), 2u)
+      << lint::render_lints(la.records(), d.procedures());
+  EXPECT_EQ(la.records()[0].kind, lint::lint_kind::lock_across_spawn);
+  EXPECT_EQ(la.records()[1].kind, lint::lint_kind::lock_across_sync);
+  EXPECT_EQ(la.records()[0].lock, a.id());
+}
+
 TYPED_TEST(LintEngine, SpawnedChildAbandonsItsLock) {
   using Ctx = typename TestFixture::Ctx;
   TypeParam d;

@@ -13,6 +13,7 @@
 #include "pedigree/dprng.hpp"
 #include "pedigree/pedigree.hpp"
 #include "pedigree/replay.hpp"
+#include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/serial.hpp"
 
@@ -131,25 +132,43 @@ TEST(Dprng, BelowIsInRangeAndUnitIsInUnitInterval) {
 
 // --- Cross-engine strand identity. ---
 
-// A fixed spawn/call/sync tree, generic over the engine context. Records
-// (strand_id, first draw) at every visit; order of collection is
-// schedule-dependent under the runtime, so comparisons sort first.
+// A fixed spawn/call/sync tree with parallel_for loops, generic over the
+// engine context. Records (strand_id, first draw) at every visit, in every
+// body(ctx, i) iteration and on the strand after each loop; order of
+// collection is schedule-dependent under the runtime, so comparisons sort
+// first. Every loop passes an explicit grain except the one-iteration
+// loops, whose default grain is 1 on every engine at every worker count.
 template <typename Ctx>
 void walk(Ctx& ctx, int depth,
           std::vector<std::pair<std::uint64_t, std::uint64_t>>& out,
           std::mutex& mu) {
-  {
+  const auto note = [&](Ctx& c) {
     std::lock_guard lock(mu);
-    out.emplace_back(ctx.strand_id(), ctx.dprng_draw());
-  }
+    out.emplace_back(c.strand_id(), c.dprng_draw());
+  };
+  note(ctx);
   if (depth == 0) return;
   ctx.spawn([&, depth](Ctx& c) { walk(c, depth - 1, out, mu); });
   ctx.call([&, depth](Ctx& c) { walk(c, depth - 1, out, mu); });
   ctx.sync();
-  {
-    std::lock_guard lock(mu);
-    out.emplace_back(ctx.strand_id(), ctx.dprng_draw());
+  note(ctx);
+  if (depth % 2 == 0) return;  // loops at every other level keep it small
+  // Grain 1 and 3 split; grain 8 exceeds the range (one grain, no split).
+  // 40 iterations at grain 1 also halve before the body(i) leaf burst.
+  for (const std::uint64_t grain : {1u, 3u, 8u}) {
+    parallel_for(ctx, 0, 5, [&](Ctx& c, int) { note(c); }, grain);
+    note(ctx);
+    parallel_for(ctx, 0, 5, [](int) {}, grain);
+    note(ctx);
+    parallel_for(ctx, 0, 40, [](int) {}, grain);
+    note(ctx);
   }
+  parallel_for(ctx, 0, 4, [](int) {}, 8);  // body(i) within one grain
+  note(ctx);
+  parallel_for(ctx, 0, 1, [](int) {});
+  note(ctx);
+  parallel_for(ctx, 0, 1, [&](Ctx& c, int) { note(c); });
+  note(ctx);
 }
 
 using id_draws = std::vector<std::pair<std::uint64_t, std::uint64_t>>;

@@ -1055,6 +1055,10 @@ struct slot_probe {
   void spawn(Fn&&) {
     static_assert(spawns_in_slot<Fn>, "closure would take a pool block");
   }
+  template <typename Fn>
+  void call(Fn&& fn) {
+    fn(*this);
+  }
   void sync() {}
   void account(std::uint64_t) {}
 };
@@ -1063,6 +1067,18 @@ struct slot_probe {
     &workloads::fib<slot_probe>;
 [[maybe_unused]] constexpr auto* qsort_closure_probe =
     &workloads::qsort<slot_probe, double*>;
+// parallel_for's halving closure, in both body forms and for narrow and
+// wide indices (its captures are two indices, the grain and the body's
+// address, whatever the body).
+[[maybe_unused]] constexpr auto* pfor_int_probe =
+    &rt::parallel_for<slot_probe, int, void (*)(int)>;
+[[maybe_unused]] constexpr auto* pfor_u64_probe =
+    &rt::parallel_for<slot_probe, std::uint64_t, void (*)(std::uint64_t)>;
+[[maybe_unused]] constexpr auto* pfor_ctx_int_probe =
+    &rt::parallel_for<slot_probe, int, void (*)(slot_probe&, int)>;
+[[maybe_unused]] constexpr auto* pfor_ctx_u64_probe =
+    &rt::parallel_for<slot_probe, std::uint64_t,
+                      void (*)(slot_probe&, std::uint64_t)>;
 static_assert(fits_in_slot<leaf_record<std::function<void(int)>, std::uint64_t>>,
               "spawn_leaf records refer to the body instead of copying it");
 
