@@ -186,6 +186,30 @@ graph spawn_loop_dag(std::uint32_t n, std::uint64_t child_work) {
   return std::move(b).finish();
 }
 
+graph lazy_adversary_dag(std::uint32_t tiny, std::uint64_t serial_work,
+                         std::uint64_t iterations, std::uint64_t grain,
+                         std::uint64_t work_per_iteration) {
+  CILKPP_ASSERT(serial_work > 0, "the serial child needs nonzero work");
+  CILKPP_ASSERT(iterations > 0, "loop needs at least one iteration");
+  CILKPP_ASSERT(grain > 0, "grain must be at least one iteration");
+  sp_builder b;
+  for (std::uint32_t i = 0; i < tiny; ++i) {
+    b.account(1);
+    b.begin_spawn();
+    b.account(1);
+    b.end_spawn();
+  }
+  b.account(1);
+  b.begin_spawn();
+  b.account(serial_work);
+  b.end_spawn();
+  b.begin_call();  // the loop's own frame, as cilk_for lowers it
+  loop_record(b, 0, iterations, grain, work_per_iteration);
+  b.end_call();
+  b.sync();
+  return std::move(b).finish();
+}
+
 graph random_sp_dag(std::uint32_t target_strands, std::uint64_t max_strand_work,
                     std::uint64_t seed) {
   CILKPP_ASSERT(target_strands > 0, "need at least one strand");

@@ -47,6 +47,16 @@ graph loop_dag(std::uint64_t iterations, std::uint64_t grain,
 /// invocations of foo").
 graph spawn_loop_dag(std::uint32_t n, std::uint64_t child_work);
 
+/// The adversary of lazy spawning (sim::spawn_policy::lazy): a frame spawns
+/// `tiny` unit-work children, then one serial child of `serial_work`, and
+/// its continuation runs a cilk_for of `iterations` (grain `grain`,
+/// `work_per_iteration` each) — all the parallelism. With tiny = P − 1 the
+/// serial child is spawned on a full deque, so under lazy spawning it runs
+/// as a call and the loop waits for it.
+graph lazy_adversary_dag(std::uint32_t tiny, std::uint64_t serial_work,
+                         std::uint64_t iterations, std::uint64_t grain,
+                         std::uint64_t work_per_iteration);
+
 /// Random series-parallel dag for property tests: composed from serial and
 /// parallel combinations down to `target_strands` leaves; deterministic in
 /// the seed.

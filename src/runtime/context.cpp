@@ -174,6 +174,21 @@ view_map& context::current_segment() {
   return tail->views();
 }
 
+void context::seal_segment(frame_slot& tail) {
+  // On a one-worker scheduler a reducer's view in this segment is the one
+  // every strand shares (view_owner); only a holder's must not reach the
+  // next strand.
+  if (home_->solo) {
+    const view_map& views = tail.views();
+    if (std::all_of(views.begin(), views.end(), [](const view_map::entry& e) {
+          return e.hyper->shares_serial_view();
+        })) {
+      return;
+    }
+  }
+  joins_.arena.append(/*is_child=*/true);
+}
+
 context& context::view_owner(const hyperobject_base& h) {
   return home_->solo && h.shares_serial_view() ? *sched_->root_ : *this;
 }

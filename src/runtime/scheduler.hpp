@@ -10,10 +10,12 @@
 // child-stealing formulation (DESIGN.md substitution #1): `spawn` pushes the
 // child task on the worker's deque and the parent keeps running; `sync`
 // drains remaining children, helping (executing its own deque bottom, then
-// stealing) instead of blocking. On a one-worker scheduler no thief exists,
-// so `spawn` runs the child at once, as a call, and the whole computation
-// runs in serial order. The computation dag — and therefore the work, span,
-// and reducer semantics — is the one the paper describes.
+// stealing) instead of blocking. Once the worker's deque already holds
+// P − 1 tasks — one for every other worker to steal — `spawn` runs the
+// child at once, as a call (lazy spawning); on a one-worker scheduler that
+// is every spawn, and the whole computation runs in serial order. The
+// computation dag — and therefore the work, span, and reducer semantics —
+// is the one the paper describes.
 //
 // Programming model:
 //
@@ -165,9 +167,11 @@ struct worker_stats {
   std::uint64_t tasks_executed = 0;
   std::uint64_t max_frame_depth = 0; ///< deepest spawned frame executed here
   /// Deepest this worker's deque ever got (tasks awaiting execution). The
-  /// busy-leaves-style bound checked by the stress oracle: at any instant a
-  /// worker's deque holds only outstanding children of frames live on its
-  /// stack, so peak_deque ≤ max spawns-per-frame · peak_live_frames.
+  /// space bounds checked by the stress oracle: at any instant a worker's
+  /// deque holds only outstanding children of frames live on its stack, so
+  /// peak_deque ≤ max spawns-per-frame · peak_live_frames, and a spawn
+  /// pushes only while the deque holds fewer than P − 1 tasks, so
+  /// peak_deque ≤ P − 1.
   std::uint64_t peak_deque = 0;
   /// Peak number of frames (contexts) simultaneously live on this worker —
   /// its call depth including nested helping during syncs.
@@ -201,8 +205,8 @@ struct worker_stats {
 /// whoever calls scheduler::stats().
 struct worker {
   worker(unsigned id_, scheduler* sched_, std::uint64_t seed, unsigned nworkers)
-      : id(id_), solo(nworkers == 1), sched(sched_), rng(seed),
-        steals_from(nworkers) {}
+      : id(id_), solo(nworkers == 1), call_depth(nworkers - 1), sched(sched_),
+        rng(seed), steals_from(nworkers) {}
 
   worker_stats snapshot_stats() const {
     worker_stats s;
@@ -279,6 +283,10 @@ struct worker {
   /// root's reducer views. Immutable; a spawn reads it from the worker it
   /// already holds, on a line nobody writes.
   const bool solo;
+  /// Deque depth from which a spawn runs its child as a call: P − 1, one
+  /// queued task for every other worker. Pushes happen only below it, so
+  /// the deque never holds more than P − 1 tasks. Immutable, like solo.
+  const std::int64_t call_depth;
   scheduler* sched;
   /// Slots of spawned children, each holding its task record; top_ and
   /// bottom_ are line-padded internally.
@@ -383,10 +391,10 @@ class context {
 
   /// cilk_spawn: start fn(child_context&) as a child that may run in
   /// parallel with the rest of this function. The child runs on a copy of
-  /// fn. On a one-worker scheduler no thief can take the continuation, so
-  /// the child runs at once, as a call would, and an exception it throws
-  /// waits in a child slot until this frame's next sync (the work-first
-  /// principle, Sec. 3).
+  /// fn. When this worker's deque already holds P − 1 tasks — on a
+  /// one-worker scheduler, always — the child runs at once, as a call
+  /// would, and an exception it throws waits in a child slot until this
+  /// frame's next sync (the work-first principle, Sec. 3).
   template <typename Fn>
   void spawn(Fn&& fn);
 
@@ -399,7 +407,7 @@ class context {
   /// brackets), the live-frame census, depth accounting, pedigree chaining,
   /// and exception delivery at the parent's sync. The leaf refers to `body`
   /// rather than copying it, so `body` must outlive this frame's next sync.
-  /// On a one-worker scheduler the leaf runs at once, as spawn's child does.
+  /// The leaf runs at once when spawn's child would.
   /// Not part of the public model; user code spawns real frames.
   template <typename Index, typename Body>
   void spawn_leaf(Index begin, Index end, const Body& body);
@@ -468,8 +476,9 @@ class context {
   /// segment or kept what a child that ran as a call delivered: slot
   /// storage and the fields stolen children write. Built in place at that
   /// first use (build_joins), so a frame that needs none of it — a fib
-  /// leaf, and every frame of a one-worker scheduler but the root unless a
-  /// holder or an exception reaches it — never builds it.
+  /// leaf, a frame whose spawns all ran as calls and left nothing, and
+  /// every frame of a one-worker scheduler but the root unless a holder or
+  /// an exception reaches it — never builds it.
   struct join_state {
     // Slot storage: structure (append/clear) is owner-only; a completing
     // child writes only the contents of its own slot.
@@ -516,9 +525,17 @@ class context {
   template <typename Record, typename... Args>
   void spawn_record_in_slot(task::run_fn run, Args&&... args);
 
-  /// The spawn path of a one-worker scheduler: runs `closure` at once as a
-  /// spawned child frame, counted and traced as a spawn and as an executed
-  /// task, and keeps what it delivers for this frame's next sync.
+  /// True when a spawn on a scheduler with P > 1 workers runs its child as
+  /// a call: this worker's deque already holds P − 1 tasks. Owner-only; a
+  /// stale top index only overstates the depth, so a push never takes the
+  /// deque past P − 1.
+  bool deque_full() const {
+    return home_->deque.size_estimate() >= home_->call_depth;
+  }
+
+  /// The spawn path of a child that runs as a call: runs `closure` at once
+  /// as a spawned child frame, counted and traced as a spawn and as an
+  /// executed task, and keeps what it delivers for this frame's next sync.
   template <typename Fn>
   void spawn_as_call(Fn& closure);
 
@@ -549,15 +566,35 @@ class context {
   /// child slot appended where a pushed child's slot would be: the next
   /// sync folds it in serial order, so the serially earliest exception
   /// wins, and the continuation opens a fresh segment, as after a pushed
-  /// spawn. The slot is not counted: the child has already joined.
+  /// spawn. The slot is not counted: the child has already joined. A child
+  /// that left nothing seals the strand instead.
   void keep_inline_child(view_map views, std::exception_ptr ex) {
-    if (views.empty() && !ex) return;
+    if (views.empty() && !ex) {
+      seal_strand();
+      return;
+    }
     join_state& js = build_joins();
     frame_slot* s = js.arena.append(/*is_child=*/true);
     s->views() = std::move(views);
     s->exception() = std::move(ex);
     js.child_delivered.store(true, std::memory_order_relaxed);
   }
+
+  /// Ends the current strand's segment after a child that ran as a call
+  /// and left nothing, where a pushed child's slot would have ended it: if
+  /// the arena tail is an open segment, appends a pristine, uncounted child
+  /// slot (it folds as the identity), so the continuation opens a fresh
+  /// segment and the fold associates as it does after a pushed spawn —
+  /// whether or not the child was pushed. On a one-worker scheduler only a
+  /// segment that holds a holder's view is ended: a reducer's strands
+  /// there keep sharing the root's one view.
+  void seal_strand() {
+    if (!joins_built_) return;
+    frame_slot* tail = joins_.arena.last();
+    if (tail != nullptr && !tail->is_child) seal_segment(*tail);
+  }
+  /// seal_strand's append, for an open tail segment.
+  void seal_segment(frame_slot& tail);
 
   /// The frame whose segments hold this frame's views of h: on a
   /// one-worker scheduler the root's, for a hyperobject whose strands may
@@ -940,7 +977,9 @@ void context::spawn_record_in_slot(task::run_fn run, Args&&... args) {
 template <typename Fn>
 void context::spawn(Fn&& fn) {
   using closure = std::decay_t<Fn>;
-  if (home_->solo) {
+  // The immutable solo test stays first and alone: a one-worker spawn
+  // never reads the deque.
+  if (home_->solo || deque_full()) {
     // The child runs on a copy of fn, as a pushed spawn's record holds
     // one: a throwing copy throws from here, before the child is counted.
     closure copy(std::forward<Fn>(fn));
@@ -961,8 +1000,8 @@ void context::spawn_as_call(Fn& closure) {
   bump_counter(home_->tasks_executed);
   // The child is a spawned frame in every observable way — pedigree, depth,
   // census, trace — but it needs no slot unless it delivers something: it
-  // shares the root's reducer views and joins before the continuation
-  // starts.
+  // joins before the continuation starts, and on a one-worker scheduler it
+  // shares the root's reducer views.
   context child(sched_, home_, this, /*parent_slot=*/nullptr, kind::spawned,
                 child_ped, child_birth);
   std::exception_ptr body_exception;
@@ -974,15 +1013,18 @@ void context::spawn_as_call(Fn& closure) {
   std::exception_ptr deliver = child.sync_spawned(std::move(body_exception));
   child.finished_ = true;
   trace_record(home_, trace::event_kind::frame_end, child.ped_hash_);
-  // Only a holder's views can be left: a reducer's went to the root's.
+  // On a one-worker scheduler only a holder's views can be left: a
+  // reducer's went to the root's.
   if (deliver || child.joins_built_) {
     keep_inline_child(child.take_final_views(), std::move(deliver));
+  } else {
+    seal_strand();
   }
 }
 
 template <typename Index, typename Body>
 void context::spawn_leaf(Index begin, Index end, const Body& body) {
-  if (home_->solo) {
+  if (home_->solo || deque_full()) {
     CILKPP_ASSERT(!finished_, "spawn on a finished frame");
     const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
     count_spawn(child_ped);
@@ -990,7 +1032,11 @@ void context::spawn_leaf(Index begin, Index end, const Body& body) {
     std::exception_ptr ex = run_leaf_body(*home_, child_ped, body, begin, end);
     trace_record(home_, trace::event_kind::frame_end, child_ped);
     leave_frame(*home_);
-    if (ex) keep_inline_child({}, std::move(ex));
+    if (ex) {
+      keep_inline_child({}, std::move(ex));
+    } else {
+      seal_strand();
+    }
     return;
   }
   using record = leaf_record<Body, Index>;

@@ -2,9 +2,11 @@
 // children — the data structure that makes the spawn/join path lock-free
 // and allocation-free.
 //
-// Every cilk_spawn reserves one slot in the spawning frame. The slot first
-// holds the child's task record (scheduler.hpp): the spawn builds it in
-// place, so a child that is never stolen costs no allocation. Once the
+// Every pushed cilk_spawn reserves one slot in the spawning frame. The slot
+// first holds the child's task record (scheduler.hpp): the spawn builds it
+// in place, so a child that is never stolen costs no allocation. (A spawn
+// that runs its child as a call appends a slot only for what the child
+// left, or to end the strand before it — context::seal_strand.) Once the
 // child's closure is gone, the child rebuilds the slot's result fields in
 // the record's bytes and writes its folded reducer views and exception into
 // them, possibly from another worker, while the owner keeps appending slots
@@ -159,7 +161,8 @@ class slot_arena {
   /// outstanding: every spawn appends its child slot before it counts the
   /// child, and fold runs only after every counted child joined. (A slot
   /// whose record construction threw stays appended but pristine and
-  /// uncounted; it folds as the identity.)
+  /// uncounted, as does one that ends a strand after a child that ran as a
+  /// call; each folds as the identity.)
   bool has_children() const { return child_slots_ != 0; }
 
   /// True if every slot is a child slot (no strand segment was opened —

@@ -41,7 +41,9 @@ class machine {
         stats_(cfg.processors),
         lock_busy_(g.num_locks(), false),
         lock_last_holder_(g.num_locks(), invalid_proc_id),
-        lock_waiters_(g.num_locks()) {
+        lock_waiters_(g.num_locks()),
+        held_after_(cfg.policy == spawn_policy::lazy ? g.num_vertices() : 0,
+                    dag::invalid_vertex) {
     CILKPP_ASSERT(cfg_.processors > 0, "machine needs at least one processor");
     CILKPP_ASSERT(g_.num_vertices() > 0, "cannot simulate the empty dag");
     probe_cost_ = std::max<std::uint64_t>(1, cfg_.steal_latency);
@@ -185,6 +187,11 @@ class machine {
     for (dag::vertex_id s : g_.successors(v)) {
       if (--indeg_[s] == 0) newly_ready_.push_back(s);
     }
+    if (!held_after_.empty() && held_after_[v] != dag::invalid_vertex) {
+      // v ended a frame that ran as a call: its spawner's continuation
+      // resumes here.
+      newly_ready_.push_back(held_after_[v]);
+    }
     if (newly_ready_.empty()) {
       find_work(p, t);
       return;
@@ -196,14 +203,55 @@ class machine {
       schedule(available(p, t), p, event_kind::find_work, 0);
       return;
     }
+    if (cfg_.policy == spawn_policy::lazy && newly_ready_.size() == 2 &&
+        deques_[p].size() + 1 >= cfg_.processors && spawn_as_call(v)) {
+      start_running(p, newly_ready_[0], t);
+      return;
+    }
     std::size_t next_idx = 0;
-    if (cfg_.policy == spawn_policy::parent_first && newly_ready_.size() > 1) {
+    if (cfg_.policy != spawn_policy::child_first && newly_ready_.size() > 1) {
       next_idx = newly_ready_.size() - 1;
     }
     for (std::size_t i = 0; i < newly_ready_.size(); ++i) {
       if (i != next_idx) push(p, newly_ready_[i], t);
     }
     start_running(p, newly_ready_[next_idx], t);
+  }
+
+  /// Lazy spawning at spawn strand v, whose successors newly_ready_ holds:
+  /// holds the continuation until the child's frame returns. False (and
+  /// nothing held) when v is not a spawn as sp_builder records one.
+  bool spawn_as_call(dag::vertex_id v) {
+    const dag::vertex_id child = newly_ready_[0];
+    const dag::vertex_id continuation = newly_ready_[1];
+    const std::uint32_t depth = g_.vertex_depth(v);
+    if (g_.vertex_depth(child) != depth + 1 ||
+        g_.vertex_depth(continuation) != depth) {
+      return false;
+    }
+    const dag::vertex_id tail = frame_tail(child);
+    if (tail == dag::invalid_vertex) return false;
+    held_after_[tail] = continuation;
+    return true;
+  }
+
+  /// The last strand of the frame whose first strand is `entry`: the
+  /// frame's strands are the ones at its depth, each leading to the next
+  /// (a spawn's continuation, a join, a lock section), and the last leads
+  /// out of the frame. invalid_vertex if two successors share the depth.
+  dag::vertex_id frame_tail(dag::vertex_id entry) const {
+    const std::uint32_t depth = g_.vertex_depth(entry);
+    dag::vertex_id v = entry;
+    for (;;) {
+      dag::vertex_id next = dag::invalid_vertex;
+      for (dag::vertex_id s : g_.successors(v)) {
+        if (g_.vertex_depth(s) != depth) continue;
+        if (next != dag::invalid_vertex) return dag::invalid_vertex;
+        next = s;
+      }
+      if (next == dag::invalid_vertex) return v;
+      v = next;
+    }
   }
 
   void find_work(std::uint32_t p, std::uint64_t t) {
@@ -268,6 +316,9 @@ class machine {
   std::vector<bool> lock_busy_;
   std::vector<std::uint32_t> lock_last_holder_;
   std::vector<std::deque<waiter>> lock_waiters_;
+  /// Lazy policy: held_after_[t] = the continuation that resumes when
+  /// strand t, the last of a frame that ran as a call, completes.
+  std::vector<dag::vertex_id> held_after_;
   std::uint64_t lock_contentions_ = 0;
   std::uint64_t lock_wait_time_ = 0;
   std::uint64_t lock_transfers_ = 0;

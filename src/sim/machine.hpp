@@ -9,7 +9,8 @@
 //  * each processor owns a deque; enabled strands are pushed at the bottom;
 //  * under the child_first policy (Cilk's): at a spawn the processor dives
 //    into the child and leaves the continuation in its deque — thieves steal
-//    from the top, taking the *oldest* continuation, exactly Sec. 3.2;
+//    from the top, taking the *oldest* continuation, exactly Sec. 3.2
+//    (spawn_policy lists the runtime's own policies);
 //  * a steal probe costs `steal_latency` time units whether or not it finds
 //    work (victims are chosen uniformly at random); a processor with no
 //    probe target sleeps until somebody pushes;
@@ -36,8 +37,18 @@ enum class spawn_policy : std::uint8_t {
   /// Cilk: execute the child, queue the continuation (work-first).
   child_first,
   /// Help-first: queue the child, keep running the continuation — what a
-  /// library-level runtime (our src/runtime) does. Ablation E14 compares.
+  /// library-level runtime, which cannot queue a continuation, does while
+  /// its deque holds fewer than P − 1 tasks. Ablation E14 compares.
   parent_first,
+  /// What src/runtime does (lazy spawning): parent_first while the
+  /// processor's deque holds fewer than P − 1 strands; from P − 1 on, the
+  /// processor runs the child and keeps the continuation unstealable until
+  /// the child's frame returns — its last strand completes — as a spawn
+  /// run as a call does. No deque ever holds more than P − 1 strands, and
+  /// at P = 1 the schedule is the serial one. A spawn is recognized by the
+  /// depths sp_builder records (child one deeper than the spawning strand,
+  /// continuation level with it); any other fork is handled parent_first.
+  lazy,
 };
 
 struct machine_config {

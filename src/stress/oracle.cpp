@@ -410,6 +410,15 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                p.max_spawn_width,
                static_cast<unsigned long long>(ws.peak_live_frames)));
     }
+    // Lazy spawning: a spawn pushes only while the deque holds fewer than
+    // P − 1 tasks, so no deque ever holds more than P − 1.
+    const std::uint64_t lazy_bound = per_worker.size() - 1;
+    if (ws.peak_deque > lazy_bound) {
+      fail("lazy-spawn-deque",
+           fmt("worker %zu peak deque %llu exceeds P - 1 = %llu", w,
+               static_cast<unsigned long long>(ws.peak_deque),
+               static_cast<unsigned long long>(lazy_bound)));
+    }
   }
 }
 

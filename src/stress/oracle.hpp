@@ -20,7 +20,8 @@
 //     chaos seed;
 //   * scheduler invariants hold once quiescent: spawns == tasks executed,
 //     the task pool is leak-balanced, and each worker's peak deque depth
-//     obeys the busy-leaves-style bound width·live-frames (Sec. 3.1).
+//     obeys the busy-leaves-style bound width·live-frames (Sec. 3.1) and
+//     lazy spawning's bound P − 1.
 //
 // Every failure carries the seeds that deterministically regenerate the
 // program and the chaos parameters (see docs/TUTORIAL.md, "Reproducing a

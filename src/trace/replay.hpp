@@ -27,8 +27,9 @@ struct replay_options {
   /// cost; sweep it for steal-cost sensitivity).
   std::uint64_t steal_latency_ns = 2000;
   /// The real runtime queues children and runs the continuation
-  /// (help-first), so that is the faithful default.
-  sim::spawn_policy policy = sim::spawn_policy::parent_first;
+  /// (help-first) until P − 1 tasks are queued, and runs further children
+  /// as calls (lazy), so that is the faithful default.
+  sim::spawn_policy policy = sim::spawn_policy::lazy;
   std::uint64_t seed = 1;
   /// Burden charged per spawn/sync on the critical path for the cilkview
   /// lower curve, in nanoseconds.

@@ -23,6 +23,7 @@
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/serial.hpp"
+#include "stress/chaos.hpp"
 
 namespace cilkpp::hyper {
 namespace {
@@ -274,6 +275,77 @@ struct counting_add {
   }
   static void reduce(value_type& left, value_type&& right) { left += right; }
 };
+
+// --- The fold's association at P > 1. ---
+
+/// A deliberately non-associative "monoid": reducing two non-empty views
+/// brackets them, [l|r], so the result spells out the association the fold
+/// used. The empty string is still the identity.
+struct bracket {
+  using value_type = std::string;
+  static std::string identity() { return {}; }
+  static void reduce(std::string& left, std::string&& right) {
+    if (right.empty()) return;
+    if (left.empty()) {
+      left = std::move(right);
+      return;
+    }
+    left = "[" + left + "|" + right + "]";
+  }
+};
+
+/// A fib-shaped spawn tree whose continuation recurses on the same frame,
+/// as fib_spawn's does. Some strands skip the reducer, and every fourth
+/// child never touches it (nor do the grandchildren it spawns).
+void bracket_fib(context& ctx, reducer<bracket>& r, unsigned n) {
+  if (n < 2) {
+    if (n == 1) r.view(ctx) += 'l';
+    return;
+  }
+  if (n % 3 != 0) r.view(ctx) += static_cast<char>('a' + n);
+  if (n % 4 == 1) {
+    ctx.spawn([n](context& c) {
+      for (unsigned i = 0; i < n % 3; ++i) c.spawn([](context&) {});
+    });
+  } else {
+    ctx.spawn([&r, n](context& c) { bracket_fib(c, r, n - 1); });
+  }
+  if (n % 2 == 0) r.view(ctx) += static_cast<char>('A' + n);
+  bracket_fib(ctx, r, n - 2);
+  ctx.sync();
+  if (n % 5 == 0) r.view(ctx) += 's';
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FoldAssociation, PinnedAcrossWorkerCountsAndSchedules) {
+  // At P > 1 every strand keeps its own views and a frame folds them along
+  // its slots, so the association is a property of the spawn tree alone:
+  // whether a child was pushed, stolen or run as a call, and whether it
+  // touched the reducer, must not move a bracket. The pinned hash is the
+  // string every run gave when every P > 1 spawn was pushed.
+  std::string first;
+  for (const unsigned workers : {2u, 4u}) {
+    for (const std::uint64_t seed : {0u, 1u, 2u, 3u, 4u, 5u}) {
+      stress::seeded_chaos chaos(seed, workers);  // seed 0: no perturbation
+      scheduler sched(workers);
+      sched.install_chaos(&chaos);
+      reducer<bracket> r;
+      sched.run([&](context& ctx) { bracket_fib(ctx, r, 16); });
+      if (first.empty()) first = r.value();
+      EXPECT_EQ(r.value(), first) << "workers=" << workers << " seed=" << seed;
+      EXPECT_EQ(fnv1a(r.value()), 0x0ecaf95bf4b308eeULL)
+          << "workers=" << workers << " seed=" << seed;
+    }
+  }
+}
 
 TEST(SingleWorkerViews, OnlyTheFirstAccessMakesAView) {
   scheduler sched(1);
@@ -539,28 +611,37 @@ TEST(Holder, KeepLastThroughSpawns) {
 TEST(Holder, PrototypeSeedsFreshViews) {
   // Every strand starts from the prototype, even after a serially earlier
   // strand wrote its own view: on one worker, where each child runs to
-  // completion before its continuation, as on two.
-  for (const unsigned workers : {1u, 2u}) {
-    scheduler sched(workers);
-    holder<std::string> h(std::string("seed"));
-    std::atomic<int> seeded{0};
-    int continuations_seeded = 0;
-    sched.run([&](context& ctx) {
-      for (int i = 0; i < 20; ++i) {
-        ctx.spawn([&](context& c) {
-          std::string& v = h.view(c);
-          if (v == "seed") seeded.fetch_add(1);
-          v = "child";
-        });
-        // The continuation after a spawn is a new strand too.
-        std::string& v = h.view(ctx);
-        if (v == "seed") ++continuations_seeded;
-        v = "continuation";
-      }
-      ctx.sync();
-    });
-    EXPECT_EQ(seeded.load(), 20) << "workers=" << workers;
-    EXPECT_EQ(continuations_seeded, 20) << "workers=" << workers;
+  // completion before its continuation, as on two and four. The child may
+  // leave the holder untouched: its spawn still ends the strand before it.
+  for (const bool child_touches : {true, false}) {
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      scheduler sched(workers);
+      holder<std::string> h(std::string("seed"));
+      std::atomic<int> seeded{0};
+      int continuations_seeded = 0;
+      sched.run([&](context& ctx) {
+        for (int i = 0; i < 20; ++i) {
+          if (child_touches) {
+            ctx.spawn([&](context& c) {
+              std::string& v = h.view(c);
+              if (v == "seed") seeded.fetch_add(1);
+              v = "child";
+            });
+          } else {
+            ctx.spawn([](context&) {});
+          }
+          // The continuation after a spawn is a new strand too.
+          std::string& v = h.view(ctx);
+          if (v == "seed") ++continuations_seeded;
+          v = "continuation";
+        }
+        ctx.sync();
+      });
+      EXPECT_EQ(seeded.load(), child_touches ? 20 : 0)
+          << "workers=" << workers << " child_touches=" << child_touches;
+      EXPECT_EQ(continuations_seeded, 20)
+          << "workers=" << workers << " child_touches=" << child_touches;
+    }
   }
 }
 

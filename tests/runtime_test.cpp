@@ -562,6 +562,36 @@ TEST(Stats, SpawnsCountedAndStealsBounded) {
   EXPECT_GT(s.max_frame_depth, 5u);
 }
 
+TEST(Stats, DequeNeverHoldsMoreThanPMinusOneTasks) {
+  // A spawn pushes only while its worker's deque holds fewer than P − 1
+  // tasks and runs the child as a call otherwise, so no deque ever holds
+  // more than P − 1 — on fib, whose frames spawn down a recursive
+  // continuation, and on a flat loop of 10^5 spawns before one sync.
+  for (const unsigned workers : {2u, 4u}) {
+    scheduler sched(workers);
+    sched.run([](context& ctx) { EXPECT_EQ(fib(ctx, 20), serial_fib(20)); });
+    std::uint64_t spawns = sched.stats().spawns;
+    EXPECT_EQ(sched.stats().tasks_executed, spawns);
+    for (const worker_stats& w : sched.per_worker_stats()) {
+      EXPECT_LE(w.peak_deque, workers - 1) << "fib(20), P=" << workers;
+    }
+    sched.reset_stats();
+    std::atomic<std::uint64_t> ran{0};
+    sched.run([&](context& ctx) {
+      for (int i = 0; i < 100'000; ++i) {
+        ctx.spawn([&](context&) { ran.fetch_add(1, std::memory_order_relaxed); });
+      }
+    });
+    EXPECT_EQ(ran.load(), 100'000u);
+    spawns = sched.stats().spawns;
+    EXPECT_EQ(spawns, 100'000u);
+    EXPECT_EQ(sched.stats().tasks_executed, spawns);
+    for (const worker_stats& w : sched.per_worker_stats()) {
+      EXPECT_LE(w.peak_deque, workers - 1) << "spawn loop, P=" << workers;
+    }
+  }
+}
+
 TEST(Stats, ResetClearsCounters) {
   scheduler sched(2);
   sched.run([](context& ctx) { (void)fib(ctx, 10); });
@@ -1113,7 +1143,9 @@ TEST(SpawnPath, InSlotSpawnsTakeNoPoolBlocks) {
 }
 
 TEST(SpawnPath, OversizedClosureTakesOnePoolBlockPerSpawn) {
-  scheduler sched(4);
+  // A closure too large for its slot takes one pool block per pushed spawn
+  // and none for a spawn that runs as a call, which copies the closure onto
+  // its own stack.
   std::array<std::uint64_t, 32> payload{};
   payload.fill(1);
   std::atomic<std::uint64_t> sum{0};
@@ -1121,16 +1153,51 @@ TEST(SpawnPath, OversizedClosureTakesOnePoolBlockPerSpawn) {
     sum.fetch_add(payload[31], std::memory_order_relaxed);
   };
   static_assert(!spawns_in_slot<decltype(big)>);
-  const task_pool_stats before = task_pool_totals();
-  sched.run([&](context& ctx) {
-    for (int i = 0; i < 100; ++i) ctx.spawn(big);
-    ctx.sync();
-  });
-  const task_pool_stats after = task_pool_totals();
-  EXPECT_EQ(sum.load(), 100u);
-  EXPECT_EQ(after.total_allocs() - before.total_allocs(), 100u);
-  EXPECT_EQ(after.total_frees() - before.total_frees(), 100u);
-  EXPECT_TRUE(after.balanced());
+
+  // A frame that syncs after at most P − 1 spawns pushes every one of them:
+  // its leaf children spawn nothing, so each batch starts on an empty deque.
+  {
+    scheduler sched(4);
+    const task_pool_stats before = task_pool_totals();
+    sched.run([&](context& ctx) {
+      for (int i = 0; i < 100; ++i) {
+        ctx.spawn(big);
+        if (i % 3 == 2) ctx.sync();
+      }
+    });
+    const task_pool_stats after = task_pool_totals();
+    EXPECT_EQ(sum.load(), 100u);
+    EXPECT_EQ(after.total_allocs() - before.total_allocs(), 100u);
+    EXPECT_EQ(after.total_frees() - before.total_frees(), 100u);
+    EXPECT_TRUE(after.balanced());
+  }
+
+  // With the only thief of a two-worker scheduler held busy and one task
+  // queued, the deque holds P − 1 tasks at every spawn: each runs as a call.
+  {
+    sum.store(0);
+    scheduler sched(2);
+    std::atomic<bool> thief_busy{false};
+    std::atomic<bool> release{false};
+    const task_pool_stats before = task_pool_totals();
+    sched.run([&](context& ctx) {
+      ctx.spawn([&](context&) {
+        thief_busy.store(true);
+        while (!release.load()) std::this_thread::yield();
+      });
+      while (!thief_busy.load()) std::this_thread::yield();
+      ctx.spawn([](context&) {});  // pushed: the deque is empty after the steal
+      ctx.call([&](context& frame) {
+        for (int i = 0; i < 100; ++i) frame.spawn(big);
+      });
+      EXPECT_EQ(sum.load(), 100u) << "the children ran before the sync";
+      release.store(true);
+    });
+    const task_pool_stats after = task_pool_totals();
+    EXPECT_EQ(after.total_allocs() - before.total_allocs(), 0u);
+    EXPECT_EQ(after.total_frees() - before.total_frees(), 0u);
+    EXPECT_TRUE(after.balanced());
+  }
 }
 
 struct copy_error : std::runtime_error {

@@ -55,13 +55,19 @@ TEST_P(MachineLaws, WorkAndSpanLawsHold) {
        {dag::fib_dag(14, 3, 20), dag::loop_dag(512, 4, 25),
         dag::wide_fan(64, 500), dag::random_sp_dag(400, 30, seed + 17)}) {
     const metrics m = analyze(g);
-    const sim_result r = simulate(g, cfg(procs, 10, seed));
-    // Work Law (1): TP ≥ T1/P, i.e. P·TP ≥ T1.
-    EXPECT_GE(static_cast<std::uint64_t>(procs) * r.makespan, m.work);
-    // Span Law (2): TP ≥ T∞.
-    EXPECT_GE(r.makespan, m.span);
-    // All work executed exactly once.
-    EXPECT_EQ(r.work, m.work);
+    for (const spawn_policy policy :
+         {spawn_policy::child_first, spawn_policy::parent_first,
+          spawn_policy::lazy}) {
+      machine_config c = cfg(procs, 10, seed);
+      c.policy = policy;
+      const sim_result r = simulate(g, c);
+      // Work Law (1): TP ≥ T1/P, i.e. P·TP ≥ T1.
+      EXPECT_GE(static_cast<std::uint64_t>(procs) * r.makespan, m.work);
+      // Span Law (2): TP ≥ T∞.
+      EXPECT_GE(r.makespan, m.span);
+      // All work executed exactly once.
+      EXPECT_EQ(r.work, m.work);
+    }
   }
 }
 
@@ -96,6 +102,42 @@ TEST(Machine, GreedyBoundWithConstant) {
       EXPECT_LE(static_cast<double>(r.makespan), bound)
           << "P=" << procs << " work=" << m.work << " span=" << m.span;
     }
+  }
+}
+
+TEST(Machine, LazySpawningKeepsTheGreedyBound) {
+  // E5's constant under the runtime's own policy: a spawn on a deque that
+  // holds P − 1 strands runs as a call, and its continuation waits for the
+  // child's frame. The same generous c = 4(L+1) holds — also on the dag
+  // built to hurt it, whose serial child is spawned on a full deque while
+  // its continuation holds all the parallelism.
+  const std::uint64_t latency = 10;
+  for (unsigned procs : {2u, 4u, 8u, 16u}) {
+    for (const graph& g :
+         {dag::fib_dag(16, 3, 20), dag::loop_dag(2048, 8, 10),
+          dag::lazy_adversary_dag(procs - 1, 20'000, 4096, 8, 10)}) {
+      const metrics m = analyze(g);
+      machine_config c = cfg(procs, latency, 5);
+      c.policy = spawn_policy::lazy;
+      const sim_result r = simulate(g, c);
+      const double bound = static_cast<double>(m.work) / procs +
+                           4.0 * static_cast<double>(latency + 1) *
+                               static_cast<double>(m.span);
+      EXPECT_LE(static_cast<double>(r.makespan), bound)
+          << "P=" << procs << " work=" << m.work << " span=" << m.span;
+    }
+  }
+}
+
+TEST(Machine, LazySpawningOnOneProcessorIsTheSerialSchedule) {
+  for (const graph& g : {dag::fib_dag(12, 2, 5), dag::loop_dag(256, 8, 3),
+                         dag::random_sp_dag(200, 9, 7)}) {
+    machine_config c = cfg(1);
+    c.policy = spawn_policy::lazy;
+    const sim_result r = simulate(g, c);
+    EXPECT_EQ(r.makespan, analyze(g).work);
+    // Only the source strand was ever queued: every spawn ran as a call.
+    EXPECT_EQ(r.peak_residency, 1u);
   }
 }
 
@@ -212,6 +254,21 @@ TEST(Baselines, CentralQueueBlowsUpOnSpawnLoopEitherOrder) {
   const graph g = dag::spawn_loop_dag(10000, 20);
   EXPECT_GT(simulate_central_queue(g, bc, queue_order::lifo).peak_residency, 5000u);
   EXPECT_GT(simulate_central_queue(g, bc, queue_order::fifo).peak_residency, 5000u);
+}
+
+TEST(Machine, LazySpawningBoundsSpawnLoopResidency) {
+  // E14b's spawn loop at P = 16: parent-first floods the producer's deque
+  // (92,523 strands at once), while lazy spawning stops pushing at P − 1
+  // per deque, so at most P·(P − 1) strands wait anywhere.
+  const unsigned procs = 16;
+  const graph g = dag::spawn_loop_dag(100'000, 50);
+  machine_config c = cfg(procs, 10, 23);
+  c.policy = spawn_policy::parent_first;
+  EXPECT_EQ(simulate(g, c).peak_residency, 92'523u);
+  c.policy = spawn_policy::lazy;
+  const sim_result r = simulate(g, c);
+  EXPECT_LE(r.peak_residency, procs * (procs - 1));
+  for (const proc_stats& s : r.per_proc) EXPECT_LE(s.peak_deque, procs - 1);
 }
 
 TEST(Machine, ParentFirstStealingAlsoBlowsUpOnSpawnLoop) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 
 #include "runtime/scheduler.hpp"
 #include "runtime/task_pool.hpp"
@@ -142,14 +144,35 @@ TEST(TaskPoolStats, LiveTracksOutstandingBlocks) {
   EXPECT_EQ(snap().live(), before.live());
 }
 
+/// Runs body(frame) in a called frame of the root of a two-worker
+/// scheduler whose only thief is held busy while one task waits in the
+/// root's deque: the deque then holds P − 1 tasks at every spawn body
+/// makes, so each of them runs as a call.
+template <typename Body>
+void run_with_thief_held(scheduler& sched, Body body) {
+  ASSERT_EQ(sched.num_workers(), 2u);
+  std::atomic<bool> thief_busy{false};
+  std::atomic<bool> release{false};
+  sched.run([&](context& ctx) {
+    ctx.spawn([&](context&) {
+      thief_busy.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (!thief_busy.load()) std::this_thread::yield();
+    ctx.spawn([](context&) {});  // pushed: the deque is empty after the steal
+    ctx.call(body);
+    release.store(true);
+  });
+}
+
 TEST(TaskPoolStats, BalancedAfterSchedulerRuns) {
   // The pool contract: a closure that fits in its frame slot takes no pool
-  // block, a larger one takes exactly one block per spawn, and the child
-  // frees its block before it signals its join — so the pool is balanced
-  // the moment run() returns, no matter which worker freed which block.
+  // block; a larger one takes exactly one block per pushed spawn and none
+  // for a spawn that runs as a call; and the child frees its block before
+  // it signals its join — so the pool is balanced the moment run()
+  // returns, no matter which worker freed which block.
   scheduler sched(4);
   constexpr unsigned depth = 10;
-  constexpr std::uint64_t spawns_per_run = (std::uint64_t{1} << depth) - 1;
   const task_pool_stats before = snap();
   for (int round = 0; round < 4; ++round) {
     const std::uint64_t sum =
@@ -170,9 +193,42 @@ TEST(TaskPoolStats, BalancedAfterSchedulerRuns) {
         << now.total_allocs() << " allocs vs " << now.total_frees()
         << " frees";
   }
-  const task_pool_stats after = snap();
-  EXPECT_EQ(after.total_allocs() - mid.total_allocs(), 4 * spawns_per_run);
-  EXPECT_EQ(after.total_frees() - mid.total_frees(), 4 * spawns_per_run);
+
+  // Exactly one block per pushed spawn: a frame that syncs after at most
+  // P − 1 spawns pushes every one (its children spawn nothing, so each
+  // batch starts on an empty deque).
+  const std::array<std::uint64_t, 16> payload{};
+  auto boxed_leaf = [payload](context&) { (void)payload; };
+  static_assert(!spawns_in_slot<decltype(boxed_leaf)>);
+  const task_pool_stats pushed_before = snap();
+  constexpr unsigned batches = 50;
+  sched.run([&](context& ctx) {
+    for (unsigned b = 0; b < batches; ++b) {
+      for (unsigned i = 0; i + 1 < sched.num_workers(); ++i) {
+        ctx.spawn(boxed_leaf);
+      }
+      ctx.sync();
+    }
+  });
+  const task_pool_stats pushed_after = snap();
+  EXPECT_EQ(pushed_after.total_allocs() - pushed_before.total_allocs(),
+            batches * (sched.num_workers() - 1));
+  EXPECT_TRUE(pushed_after.balanced());
+
+  // No block for a spawn that runs as a call: all 2^depth − 1 spawns of a
+  // boxed tree, with the only thief held busy.
+  scheduler duo(2);
+  const task_pool_stats inline_before = snap();
+  for (int round = 0; round < 4; ++round) {
+    std::uint64_t sum = 0;
+    run_with_thief_held(duo, [&](context& frame) {
+      sum = boxed_tree_sum(frame, depth);
+    });
+    EXPECT_EQ(sum, std::uint64_t{1} << depth);
+  }
+  const task_pool_stats inline_after = snap();
+  EXPECT_EQ(inline_after.total_allocs(), inline_before.total_allocs());
+  EXPECT_TRUE(inline_after.balanced());
 }
 
 TEST(TaskPoolStats, BalanceSurvivesExceptionUnwinds) {
