@@ -32,7 +32,6 @@ cilkpp_add_bench(bench_cilkscreen cilkpp_cilkscreen cilkpp_workloads cilkpp_dag)
 cilkpp_add_bench(bench_reducer_vs_mutex cilkpp_workloads cilkpp_dag cilkpp_sim)
 cilkpp_add_bench(bench_parallelism_survey cilkpp_workloads cilkpp_dag cilkpp_cilkview)
 cilkpp_add_bench(bench_graph cilkpp_graph cilkpp_runtime cilkpp_dag cilkpp_sim cilkpp_cilkview)
-cilkpp_add_bench(bench_ablation_deque cilkpp_deque benchmark::benchmark Threads::Threads)
 cilkpp_add_bench(bench_ablation_policy cilkpp_dag cilkpp_sim)
 cilkpp_add_bench(bench_ablation_grain cilkpp_dag cilkpp_sim cilkpp_workloads)
 cilkpp_add_bench(bench_ablation_burden cilkpp_dag cilkpp_sim cilkpp_cilkview cilkpp_workloads)

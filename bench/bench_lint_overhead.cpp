@@ -9,8 +9,6 @@
 //   * the same with the SP-order engine;
 //   * raw rt::mutex traffic with no observer vs a mutex_census installed
 //     (the production-side hook: one atomic load when uninstalled).
-// Built with -DCILKPP_LINT=OFF the analyzer legs vanish — the row is
-// printed as "compiled out" so the table shape is stable across configs.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -39,12 +37,8 @@ constexpr std::uint64_t kMutexIters = 1u << 20;
 template <typename D>
 std::uint64_t screen_run(bool with_lint) {
   D d;
-#if CILKPP_LINT_ENABLED
   typename D::lint_analyzer la;
   if (with_lint) d.attach_lint(&la);
-#else
-  (void)with_lint;
-#endif
   screen::basic_screen_mutex<D> a(d), b(d);
   stopwatch sw;
   screen::run_under_detector(d, [&](screen::basic_screen_context<D>& ctx) {
@@ -62,7 +56,6 @@ std::uint64_t screen_run(bool with_lint) {
     ctx.sync();
   });
   const std::uint64_t ns = sw.elapsed_ns();
-#if CILKPP_LINT_ENABLED
   if (with_lint) {
     la.finish();
     if (!la.clean()) {
@@ -70,7 +63,6 @@ std::uint64_t screen_run(bool with_lint) {
       std::exit(1);
     }
   }
-#endif
   return ns;
 }
 
@@ -87,7 +79,6 @@ std::uint64_t mutex_run(bool with_census) {
     do_not_optimize(sum);
     return sw.elapsed_ns();
   };
-#if CILKPP_LINT_ENABLED
   if (with_census) {
     lint::scoped_mutex_census census;
     const std::uint64_t ns = loop();
@@ -97,9 +88,6 @@ std::uint64_t mutex_run(bool with_census) {
     }
     return ns;
   }
-#else
-  (void)with_census;
-#endif
   return loop();
 }
 
@@ -130,12 +118,6 @@ int main() {
 
   const auto screen_row = [&](const char* name, auto tag, bool with_lint) {
     using D = typename decltype(tag)::type;
-#if !CILKPP_LINT_ENABLED
-    if (with_lint) {
-      t.add_row({name, "-", "compiled out"});
-      return;
-    }
-#endif
     const std::uint64_t ns =
         best_of([&] { return screen_run<D>(with_lint); });
     t.add_row({name, std::to_string(screen_acquires),
@@ -151,13 +133,9 @@ int main() {
   const std::uint64_t bare = best_of([] { return mutex_run(false); });
   t.add_row({"rt::mutex, no observer", std::to_string(kMutexIters),
              per_acquire(bare, kMutexIters)});
-#if CILKPP_LINT_ENABLED
   const std::uint64_t censused = best_of([] { return mutex_run(true); });
   t.add_row({"rt::mutex, census installed", std::to_string(kMutexIters),
              per_acquire(censused, kMutexIters)});
-#else
-  t.add_row({"rt::mutex, census installed", "-", "compiled out"});
-#endif
 
   std::cout << "# E-lint: lock-discipline analyzer overhead\n";
   t.print(std::cout);

@@ -9,9 +9,6 @@
 //     lane touching its own padded line (no sharing by construction),
 //     analyzer detached vs attached;
 //   * the same under the SP-order engine.
-// Built with -DCILKPP_MEMLENS=OFF the attached legs vanish — rows print
-// "compiled out" so the table shape is stable across configs — and the
-// detached legs measure the same engines without the hook branch.
 //
 // Emits BENCH_memlens.json (same mold as BENCH_spawn_path.json) for the
 // perf-smoke artifact; path defaults to BENCH_memlens.json, argv[1]
@@ -58,12 +55,8 @@ struct leg_result {
 template <typename D>
 leg_result screen_run(std::vector<lane_line>& pool, bool with_lens) {
   D d;
-#if CILKPP_MEMLENS_ENABLED
   typename D::memlens_analyzer ml;
   if (with_lens) d.attach_memlens(&ml);
-#else
-  (void)with_lens;
-#endif
   stopwatch sw;
   screen::run_under_detector(d, [&](screen::basic_screen_context<D>& ctx) {
     for (unsigned s = 0; s < kLanes; ++s) {
@@ -83,7 +76,6 @@ leg_result screen_run(std::vector<lane_line>& pool, bool with_lens) {
   leg_result out;
   out.ns = sw.elapsed_ns();
   out.accesses = std::uint64_t{kLanes} * kReps * kWords;
-#if CILKPP_MEMLENS_ENABLED
   if (with_lens) {
     ml.finish();
     if (!ml.clean()) {
@@ -97,7 +89,6 @@ leg_result screen_run(std::vector<lane_line>& pool, bool with_lens) {
       std::exit(1);
     }
   }
-#endif
   return out;
 }
 
@@ -136,7 +127,6 @@ int main(int argc, char** argv) {
   w.field("lanes", kLanes);
   w.field("reps", kReps);
   w.field("words_per_lane", kWords);
-  w.field("compiled_in", bool{CILKPP_MEMLENS_ENABLED});
   w.key("legs");
   w.begin_object();
 
@@ -152,7 +142,6 @@ int main(int argc, char** argv) {
     w.field("ns_per_access", per_access(detached));
     w.field("accesses", detached.accesses);
     w.end_object();
-#if CILKPP_MEMLENS_ENABLED
     const leg_result attached =
         best_of([&] { return screen_run<D>(pool, true); });
     t.add_row({std::string(engine) + ", memlens attached",
@@ -174,10 +163,6 @@ int main(int argc, char** argv) {
                    ratio);
       ok = false;
     }
-#else
-    t.add_row({std::string(engine) + ", memlens attached", "-",
-               "compiled out"});
-#endif
   };
   struct bags_tag { using type = cilkpp::screen::detector; };
   struct order_tag { using type = cilkpp::screen::order_detector; };

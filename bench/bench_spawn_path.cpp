@@ -9,10 +9,12 @@
 //                      (fib with cutoff 0: pure spawn machinery), plus a
 //                      wide parallel_for leg at P = max(2, hw) that keeps
 //                      several workers hammering the join path at once
-//   * pool blocks      task_pool allocations per spawn on the pair and fib
-//                      legs: their closures fit in the child's frame slot,
-//                      so a spawn takes no block (the work-first spawn
-//                      path, DESIGN.md §4.7)
+//   * slab blocks      slab block allocations per spawn, over every class,
+//                      on the pair and fib legs: their closures fit in the
+//                      child's frame slot, so a spawn boxes nothing (the
+//                      work-first spawn path, DESIGN.md §4.7); what is left
+//                      is slot-arena chunks of frames whose queued children
+//                      were stolen
 //   * slab flatness    re-running the contention leg against a warmed-up
 //                      slab layer must add ZERO system allocations — the
 //                      "never touches ::operator new at steady state" claim,
@@ -26,7 +28,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <thread>
 
@@ -34,7 +35,6 @@
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/stats_json.hpp"
-#include "runtime/task_pool.hpp"
 #include "support/stats.hpp"
 #include "support/timing.hpp"
 #include "workloads/fib.hpp"
@@ -44,14 +44,14 @@ namespace {
 using cilkpp::rt::context;
 using cilkpp::rt::scheduler;
 
-std::uint64_t pool_allocs() {
-  return cilkpp::rt::task_pool_totals().total_allocs();
+std::uint64_t slab_allocs() {
+  return cilkpp::alloc::slab_totals().total_allocs();
 }
 
 struct pair_result {
   double best_ns = 0;
   std::uint64_t spawns = 0;
-  std::uint64_t pool_allocs = 0;  ///< task_pool blocks taken by the timed batches
+  std::uint64_t slab_allocs = 0;  ///< slab blocks taken by the timed batches
 };
 
 /// Best-of-`reps` time for one spawn+sync pair, measured over batches big
@@ -68,7 +68,7 @@ pair_result measure_pair_ns() {
       ctx.spawn([](context&) {});
       ctx.sync();
     }
-    allocs = pool_allocs();
+    allocs = slab_allocs();
     for (int r = 0; r < reps; ++r) {
       cilkpp::stopwatch sw;
       for (std::size_t i = 0; i < batch; ++i) {
@@ -79,7 +79,7 @@ pair_result measure_pair_ns() {
           static_cast<double>(sw.elapsed_ns()) / static_cast<double>(batch);
       if (ns < best) best = ns;
     }
-    allocs = pool_allocs() - allocs;
+    allocs = slab_allocs() - allocs;
   });
   return {best, batch * reps, allocs};
 }
@@ -88,7 +88,7 @@ struct throughput {
   unsigned workers = 0;
   const char* workload = "";
   std::uint64_t spawns = 0;
-  std::uint64_t pool_allocs = 0;  ///< task_pool blocks taken by the timed run
+  std::uint64_t slab_allocs = 0;  ///< slab blocks taken by the timed run
   double elapsed_s = 0;
   double spawns_per_sec() const {
     return elapsed_s > 0 ? static_cast<double>(spawns) / elapsed_s : 0;
@@ -103,7 +103,7 @@ throughput measure_fib_throughput(unsigned workers, unsigned n) {
     return cilkpp::workloads::fib(ctx, n > 4 ? n - 4 : n, 0);
   });
   sched.reset_stats();
-  const std::uint64_t allocs = pool_allocs();
+  const std::uint64_t allocs = slab_allocs();
   cilkpp::stopwatch sw;
   const std::uint64_t r =
       sched.run([n](context& ctx) { return cilkpp::workloads::fib(ctx, n, 0); });
@@ -111,7 +111,7 @@ throughput measure_fib_throughput(unsigned workers, unsigned n) {
   t.workers = sched.num_workers();
   t.workload = "fib_cutoff0";
   t.elapsed_s = sw.elapsed_s();
-  t.pool_allocs = pool_allocs() - allocs;
+  t.slab_allocs = slab_allocs() - allocs;
   t.spawns = sched.stats().spawns;
   cilkpp::do_not_optimize(r);
   return t;
@@ -161,8 +161,6 @@ int main(int argc, char** argv) {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
 
-  const auto pool_before = cilkpp::rt::task_pool_totals();
-
   const pair_result pair = measure_pair_ns();
   const double pair_ns = pair.best_ns;
   const throughput tp1 = measure_fib_throughput(1, 24);
@@ -186,32 +184,26 @@ int main(int argc, char** argv) {
       slab_after.system_allocs - slab_before.system_allocs;
   cilkpp::do_not_optimize(tp_steady.spawns);
 
-  const auto pool_after = cilkpp::rt::task_pool_totals();
-  const std::uint64_t allocs =
-      pool_after.total_allocs() - pool_before.total_allocs();
-  const std::uint64_t frees =
-      pool_after.total_frees() - pool_before.total_frees();
-  std::uint64_t reused = 0;
-  for (std::size_t c = 0; c < std::size(pool_after.classes); ++c) {
-    reused += pool_after.classes[c].reused - pool_before.classes[c].reused;
-  }
-  auto per_spawn = [](std::uint64_t blocks, std::uint64_t spawns) {
-    return spawns > 0 ? static_cast<double>(blocks) / static_cast<double>(spawns)
-                      : 0.0;
-  };
-  struct pool_leg {
+  struct block_leg {
     const char* name;
-    double allocs_per_spawn;
+    std::uint64_t allocs;
+    std::uint64_t spawns;
+    double allocs_per_spawn() const {
+      return spawns > 0
+                 ? static_cast<double>(allocs) / static_cast<double>(spawns)
+                 : 0.0;
+    }
   };
-  const pool_leg pool_legs[] = {
-      {"pair", per_spawn(pair.pool_allocs, pair.spawns)},
-      {"fib_p1", per_spawn(tp1.pool_allocs, tp1.spawns)},
-      {"fib_phw", per_spawn(tp_hw.pool_allocs, tp_hw.spawns)},
+  const block_leg block_legs[] = {
+      {"pair", pair.slab_allocs, pair.spawns},
+      {"fib_p1", tp1.slab_allocs, tp1.spawns},
+      {"fib_phw", tp_hw.slab_allocs, tp_hw.spawns},
   };
 
   // Loose sanity thresholds (see header comment): catastrophic-only, except
-  // the pool gate, which is the allocation-free spawn contract itself (a
-  // few blocks of slack per hundred spawns, none needed today).
+  // the slab-block gate, which is the allocation-free spawn contract itself
+  // (a few blocks of slack per hundred spawns; at P > 1 the arena chunks of
+  // frames whose queued children were stolen take about one per thousand).
   constexpr double pair_ns_max = 2000.0;
   constexpr double allocs_per_spawn_max = 0.01;
   constexpr double spawns_per_sec_min = 1e5;
@@ -225,10 +217,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: pair_ns %.1f > %.1f\n", pair_ns, pair_ns_max);
     ok = false;
   }
-  for (const pool_leg& leg : pool_legs) {
-    if (leg.allocs_per_spawn > allocs_per_spawn_max) {
-      std::fprintf(stderr, "FAIL: %s leg: %.4f task_pool allocs/spawn > %.2f\n",
-                   leg.name, leg.allocs_per_spawn, allocs_per_spawn_max);
+  for (const block_leg& leg : block_legs) {
+    if (leg.allocs_per_spawn() > allocs_per_spawn_max) {
+      std::fprintf(stderr, "FAIL: %s leg: %.4f slab blocks/spawn > %.2f\n",
+                   leg.name, leg.allocs_per_spawn(), allocs_per_spawn_max);
       ok = false;
     }
   }
@@ -260,19 +252,16 @@ int main(int argc, char** argv) {
   if (hw > 1) emit_throughput(w, tp_hw);
   emit_throughput(w, tp_wide);
   w.end_array();
-  w.key("task_pool");
+  w.key("slab_blocks");
   w.begin_object();
-  w.field("allocs", allocs);
-  w.field("frees", frees);
-  w.field("reused", reused);
-  w.key("allocs_per_spawn");
-  w.begin_object();
-  for (const pool_leg& leg : pool_legs) w.field(leg.name, leg.allocs_per_spawn);
-  w.end_object();
-  w.field("oversize_allocs",
-          pool_after.oversize_allocs() - pool_before.oversize_allocs());
-  w.field("oversize_frees",
-          pool_after.oversize_frees() - pool_before.oversize_frees());
+  for (const block_leg& leg : block_legs) {
+    w.key(leg.name);
+    w.begin_object();
+    w.field("allocs", leg.allocs);
+    w.field("spawns", leg.spawns);
+    w.field("allocs_per_spawn", leg.allocs_per_spawn());
+    w.end_object();
+  }
   w.end_object();
   w.key("slab");
   w.begin_object();

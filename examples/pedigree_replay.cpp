@@ -26,13 +26,10 @@
 #include "cilkscreen/report.hpp"
 #include "cilkscreen/screen_context.hpp"
 #include "cilkscreen/sporder.hpp"
-
-#if CILKPP_PEDIGREE_ENABLED
 #include "pedigree/pedigree.hpp"
 #include "pedigree/replay.hpp"
 #include "stress/interp.hpp"
 #include "stress/replay.hpp"
-#endif
 
 using namespace cilkpp;
 
@@ -75,8 +72,6 @@ std::uint64_t hunt(const char* engine, Detector& d, screen::race_record* out) {
 }
 
 }  // namespace
-
-#if CILKPP_PEDIGREE_ENABLED
 
 int main() {
   std::cout << "Act 1 — find the race, with pedigrees on both endpoints.\n";
@@ -139,15 +134,3 @@ int main() {
              ? 0
              : 1;
 }
-
-#else  // !CILKPP_PEDIGREE_ENABLED
-
-int main() {
-  std::cout << "Pedigrees are compiled out (-DCILKPP_PEDIGREE=OFF); the race "
-               "is still found,\nbut reports carry no replay keys.\n";
-  screen::detector bags;
-  hunt("SP-bags", bags, nullptr);
-  return 0;
-}
-
-#endif  // CILKPP_PEDIGREE_ENABLED

@@ -2,12 +2,10 @@
 // internal-malloc generalized; Bonwick's magazine design).
 //
 // Motivation (paper Sec. 3, the work-first principle): a spawn with a large
-// closure boxes it in a task_pool block, every reducer touch may allocate a
-// view, deep spines grow slot-arena chunks, and the spawn path must stay
-// within the <2% serial-overhead budget. A system
-// malloc costs a lock or CAS in the common case; even the task_pool's
-// thread-local freelists fall back to ::operator new on every cold miss and
-// cap-overflow. The slab allocator removes the system allocator from the
+// closure boxes it in a slab block, every reducer touch may allocate a view,
+// deep spines grow slot-arena chunks, and the spawn path must stay within
+// the <2% serial-overhead budget. A system malloc costs a lock or CAS in the
+// common case. The slab allocator removes the system allocator from the
 // steady state entirely:
 //
 //   Level 1 — per-thread MAGAZINES. Each thread keeps, per size class, a
@@ -32,8 +30,8 @@
 // task frames cannot false-share by construction. The slab header occupies
 // the first line alone.
 //
-// Consumers: task frames via task_pool, slot_arena chunks, reducer views,
-// trace rings and stress pools all allocate here.
+// Consumers: boxed spawn closures, slot_arena chunks, reducer views, trace
+// rings and stress pools all allocate here.
 #pragma once
 
 #include <atomic>
@@ -62,8 +60,9 @@ inline constexpr std::size_t slab_bytes = 64 * 1024;
 /// Payload alignment: every block starts on a cache line.
 inline constexpr std::size_t block_align = 64;
 
-/// Branch-free size→class map (same formula as the task_pool's):
-/// 0..64 → 0, 65..128 → 1, …, 2049..4096 → 6, larger → ≥ num_classes.
+/// Branch-free size→class map: 0..64 → 0, 65..128 → 1, …, 2049..4096 → 6,
+/// larger → ≥ num_classes. `| (size == 0)` keeps size 0 in class 0 without a
+/// wraparound; `| 63` floors the rounding at the smallest class.
 inline std::size_t size_class(std::size_t size) {
   const std::size_t sz = size | static_cast<std::size_t>(size == 0);
   return static_cast<std::size_t>(std::bit_width((sz - 1) | 63)) - 6;
@@ -73,8 +72,8 @@ inline std::size_t size_class(std::size_t size) {
 /// one thread while loaded/backup; handed over whole at the depot (the next
 /// pointer links depot stacks). `fresh` tracks how many blocks at the
 /// BOTTOM of the stack were carved from a slab and never yet handed out —
-/// pops above that watermark are recycled blocks (the task_pool "reused"
-/// statistic the benches and tests track).
+/// pops above that watermark are recycled blocks (the "recycled" statistic
+/// the benches and tests track).
 struct magazine {
   magazine* next = nullptr;
   std::uint32_t count = 0;
@@ -254,10 +253,10 @@ inline void slab_deallocate(void* p, std::size_t size) noexcept {
 }
 
 /// Aligned variants for callers whose element alignment may exceed the
-/// default heap alignment (e.g. the stress pools' alignas(64) rows). Class
-/// blocks are always 64-byte aligned, so only the oversize passthrough
-/// needs the explicit alignment; `align` must not exceed 64 for classed
-/// sizes.
+/// default heap alignment (the stress pools' alignas(64) rows, boxed spawn
+/// closures). Class blocks are always 64-byte aligned, so only the oversize
+/// passthrough needs the explicit alignment; `align` must not exceed 64 for
+/// classed sizes.
 inline void* slab_allocate_aligned(std::size_t size, std::size_t align) {
   CILKPP_ASSERT(align <= block_align || size_class(size) >= num_classes,
                 "slab class blocks guarantee only 64-byte alignment");

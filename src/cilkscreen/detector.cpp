@@ -14,28 +14,22 @@ detector::detector() {
 }
 
 proc_id detector::enter_spawn(proc_id parent) {
-#if CILKPP_LINT_ENABLED
   // Fire before the child exists: any lock still held belongs to the
   // parent's (or an ancestor's) strand crossing this spawn boundary.
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::spawn, parent);
-#endif
   ++stats_.procedures;
   const proc_id child = bags_.enter_procedure(parent);
   const proc_id tree_child = tree_.add_spawn(parent);
   CILKPP_ASSERT(tree_child == child, "procedure numbering out of step");
-#if CILKPP_PEDIGREE_ENABLED
   peds_.on_child(parent, child);  // after the lint boundary: it sees the
                                   // parent's pre-spawn rank
-#endif
   return child;
 }
 
 void detector::exit_spawn(proc_id parent, proc_id child) {
-#if CILKPP_LINT_ENABLED
   // The spawned child's strand ends here: locks it acquired and still
   // holds are abandoned.
   if (lint_ != nullptr) lint_->on_procedure_exit(child);
-#endif
   bags_.return_spawned(parent, child);
 }
 
@@ -44,9 +38,7 @@ proc_id detector::enter_call(proc_id parent) {
   const proc_id child = bags_.enter_procedure(parent);
   const proc_id tree_child = tree_.add_call(parent);
   CILKPP_ASSERT(tree_child == child, "procedure numbering out of step");
-#if CILKPP_PEDIGREE_ENABLED
   peds_.on_child(parent, child);  // a call consumes a parent rank, like spawn
-#endif
   return child;
 }
 
@@ -55,13 +47,9 @@ void detector::exit_call(proc_id parent, proc_id child) {
 }
 
 void detector::sync(proc_id f) {
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::sync, f);
-#endif
   bags_.sync(f);
-#if CILKPP_PEDIGREE_ENABLED
   peds_.on_sync(f);
-#endif
 }
 
 void detector::report(race_kind rk, std::uintptr_t addr,
@@ -74,12 +62,10 @@ void detector::report(race_kind rk, std::uintptr_t addr,
                       (rk == race_kind::view ? 4u : 0u) |
                       (static_cast<std::uint64_t>(first.kind) << 1) |
                       static_cast<std::uint64_t>(second_kind);
-#if CILKPP_PEDIGREE_ENABLED
   // Pedigree-keyed dedup: distinct endpoint strands at the same address and
   // kind pair are distinct races. Same-strand repeats still fold to one.
   key = ped::mix(ped::mix(key, peds_.strand_hash_at(first.proc, first.ped_rank)),
                  peds_.strand_hash(current));
-#endif
   if (!reported_.insert(key).second) return;  // already reported this shape
   race_record r;
   r.kind = rk;
@@ -88,10 +74,8 @@ void detector::report(race_kind rk, std::uintptr_t addr,
   r.second = second_kind;
   r.first_proc = first.proc;
   r.second_proc = current;
-#if CILKPP_PEDIGREE_ENABLED
   r.first_ped = peds_.strand_at(first.proc, first.ped_rank);
   r.second_ped = peds_.strand(current);
-#endif
   if (first.label != nullptr) r.first_label = first.label;
   if (second_label != nullptr) r.second_label = second_label;
   races_.push_back(std::move(r));
@@ -104,12 +88,7 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
     return bags_.in_p_bag(e.strand);
   };
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
-#if CILKPP_PEDIGREE_ENABLED
   const std::uint64_t cur_rank = peds_.rank(current);
-#else
-  const std::uint64_t cur_rank = 0;
-#endif
-#if CILKPP_MEMLENS_ENABLED
   // Cache-line sharing analysis rides the same stream and the same SP
   // query; it classifies whole accesses (not bytes), so it runs once per
   // event, before the byte loop.
@@ -117,7 +96,6 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
     lens_->on_access(current, current, base, size, kind, label,
                      [this](const proc_id& s) { return bags_.in_p_bag(s); });
   }
-#endif
   for (std::size_t k = 0; k < size; ++k) {
     shadow_.cell(base + k).hist.access(
         current, current, cur_rank, kind, held_, label, parallel,
@@ -138,7 +116,6 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
         report(race_kind::view, hs.lo, e, current, kind, label);
       }
     }
-#if CILKPP_LINT_ENABLED
     // The serially-ordered counterpart is lint's view-escape check: a view
     // reference cached across a strand boundary.
     if (lint_ != nullptr) {
@@ -146,7 +123,6 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
           hs.id, current,
           [this](const proc_id& s) { return bags_.in_p_bag(s); }, label);
     }
-#endif
   }
 }
 
@@ -167,7 +143,6 @@ lock_id detector::register_lock() { return next_lock_++; }
 void detector::lock_acquired(proc_id current, lock_id id) {
   CILKPP_ASSERT(!lockset_contains(held_, id),
                 "lock acquired twice (not recursive)");
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) {
     // SP-bags answers remembered-vs-current exactly; it cannot order two
     // remembered strands, so the pair predicate is conservatively true.
@@ -176,9 +151,6 @@ void detector::lock_acquired(proc_id current, lock_id id) {
         [this](const proc_id& s) { return bags_.in_p_bag(s); },
         [](const proc_id&, const proc_id&) { return true; });
   }
-#else
-  (void)current;
-#endif
   held_.push_back(id);
 }
 
@@ -186,11 +158,7 @@ void detector::lock_released(proc_id current, lock_id id) {
   for (std::size_t i = 0; i < held_.size(); ++i) {
     if (held_[i] == id) {
       held_.swap_remove(i);
-#if CILKPP_LINT_ENABLED
       if (lint_ != nullptr) lint_->on_release(current, id);
-#else
-      (void)current;
-#endif
       return;
     }
   }
@@ -198,9 +166,7 @@ void detector::lock_released(proc_id current, lock_id id) {
   // never-locked mutex). The lockset is already consistent — there is
   // nothing to remove — so record the fact and keep going.
   ++stats_.unmatched_releases;
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_unmatched_release(current, id);
-#endif
 }
 
 detector::hyper_state* detector::find_hyper(const rt::hyperobject_base& h) {
@@ -214,13 +180,11 @@ void detector::register_hyperobject(const rt::hyperobject_base& h,
                                     const void* base, std::size_t size,
                                     const char* label) {
   const auto lo = reinterpret_cast<std::uintptr_t>(base);
-#if CILKPP_MEMLENS_ENABLED
   // The hyperobject's value bytes are a runtime-owned region: co-residency
   // with a neighboring structure is a padding lint (memlens/analyzer.hpp).
   if (lens_ != nullptr) {
     lens_->on_region(base, size, label != nullptr ? label : "reducer view");
   }
-#endif
   if (hyper_state* hs = find_hyper(h)) {
     hs->lo = lo;
     hs->hi = lo + size;
@@ -256,16 +220,11 @@ void detector::on_view_access(proc_id current, const rt::hyperobject_base& h,
   // the history's race callback is a no-op; the entries exist only for the
   // raw-vs-view check above and its mirror in on_access. Views are recorded
   // with an empty lockset: a lock never protects against a view race.
-#if CILKPP_PEDIGREE_ENABLED
   const std::uint64_t cur_rank = peds_.rank(current);
-#else
-  const std::uint64_t cur_rank = 0;
-#endif
   hs.views.access(current, current, cur_rank, kind, lockset{}, hs.label,
                   parallel, [](const history_entry<proc_id>&) {}, stats_);
 }
 
-#if CILKPP_LINT_ENABLED
 void detector::on_view_fetch(proc_id current, const rt::hyperobject_base& h,
                              const void* base, std::size_t size,
                              const char* label) {
@@ -274,7 +233,6 @@ void detector::on_view_fetch(proc_id current, const rt::hyperobject_base& h,
   lint_->on_view_fetch(&h, current, current,
                        reinterpret_cast<std::uintptr_t>(base), label);
 }
-#endif
 
 const std::vector<race_record>& detector::races() const {
   if (!races_sorted_) {

@@ -85,7 +85,6 @@ class detector {
                       const void* base, std::size_t size, access_kind kind,
                       const char* label = nullptr);
 
-#if CILKPP_LINT_ENABLED
   // --- Lock-discipline analysis (cilk::lint). ---
   /// The lint analyzer for this engine: strands are identified by proc_id,
   /// and the SP-bags pair-parallel predicate is conservative (SP-bags can
@@ -97,9 +96,7 @@ class detector {
   /// outlive its attachment; call la->finish() after the run.
   void attach_lint(lint_analyzer* la) {
     lint_ = la;
-#if CILKPP_PEDIGREE_ENABLED
     if (la != nullptr) la->set_pedigrees(&peds_);
-#endif
   }
   lint_analyzer* attached_lint() const { return lint_; }
   /// A strand *obtained* a reducer view (reducer::view under a screen
@@ -108,9 +105,7 @@ class detector {
   void on_view_fetch(proc_id current, const rt::hyperobject_base& h,
                      const void* base, std::size_t size,
                      const char* label = nullptr);
-#endif
 
-#if CILKPP_MEMLENS_ENABLED
   // --- Cache-line sharing analysis (cilk::memlens). ---
   /// The memlens analyzer for this engine: strands are identified by
   /// proc_id and the remembered-vs-current parallel predicate is the
@@ -121,9 +116,7 @@ class detector {
   /// must outlive its attachment; call ml->finish() after the run.
   void attach_memlens(memlens_analyzer* ml) {
     lens_ = ml;
-#if CILKPP_PEDIGREE_ENABLED
     if (ml != nullptr) ml->set_pedigrees(&peds_);
-#endif
   }
   memlens_analyzer* attached_memlens() const { return lens_; }
   /// Registers a runtime-owned allocation for the padding lints (reducer
@@ -133,7 +126,6 @@ class detector {
                    const char* label = nullptr) {
     if (lens_ != nullptr) lens_->on_region(base, size, label);
   }
-#endif
 
   // --- Results. ---
   /// Reports in deterministic (address, first_proc, second_proc) order.
@@ -144,7 +136,6 @@ class detector {
   const proc_tree& procedures() const { return tree_; }
   /// histogram[n] = number of touched shadow bytes remembering n accesses.
   std::vector<std::uint64_t> history_histogram() const;
-#if CILKPP_PEDIGREE_ENABLED
   /// Pedigree bookkeeping (one entry per procedure, same rank rules as the
   /// runtime — reports carry these so they compare across engines/runs).
   const ped::proc_pedigrees& pedigrees() const { return peds_; }
@@ -152,7 +143,6 @@ class detector {
   ped::pedigree strand_pedigree(proc_id p) const { return peds_.strand(p); }
   std::uint64_t strand_id(proc_id p) const { return peds_.strand_hash(p); }
   std::uint64_t dprng_draw(proc_id p) { return peds_.draw(p); }
-#endif
   /// Race reports are deduplicated per (address, kind pair); cap the total
   /// to keep pathological programs manageable.
   static constexpr std::size_t max_reports = 1000;
@@ -176,15 +166,9 @@ class detector {
   hyper_state* find_hyper(const rt::hyperobject_base& h);
 
   sp_bags bags_;
-#if CILKPP_LINT_ENABLED
   lint_analyzer* lint_ = nullptr;
-#endif
-#if CILKPP_MEMLENS_ENABLED
   memlens_analyzer* lens_ = nullptr;
-#endif
-#if CILKPP_PEDIGREE_ENABLED
   ped::proc_pedigrees peds_;
-#endif
   proc_id root_;
   proc_tree tree_;
   shadow_table<shadow_cell> shadow_;

@@ -62,9 +62,9 @@ struct race_record {
   proc_id first_proc = invalid_proc;
   proc_id second_proc = invalid_proc;
   /// Schedule-independent endpoint identities: the pedigree of the strand
-  /// that performed each access (empty when CILKPP_PEDIGREE is OFF). These
-  /// are what make reports comparable across engines and across runs —
-  /// proc ids and addresses are not stable under ASLR or rescheduling.
+  /// that performed each access. These are what make reports comparable
+  /// across engines and across runs — proc ids and addresses are not
+  /// stable under ASLR or rescheduling.
   ped::pedigree first_ped;
   ped::pedigree second_ped;
   std::string first_label;   ///< user label at the first endpoint, if any

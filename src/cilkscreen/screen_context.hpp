@@ -83,7 +83,6 @@ class basic_screen_context {
                        label);
   }
 
-#if CILKPP_LINT_ENABLED
   /// Lint hook: the calling strand *obtained* a reducer view (fetched a
   /// reference to it). reducer::view() calls this before note_view_access,
   /// so an attached lint::analyzer can flag the reference escaping to a
@@ -92,9 +91,7 @@ class basic_screen_context {
                        std::size_t size, const char* label = nullptr) {
     d_->on_view_fetch(self_, h, base, size, label);
   }
-#endif
 
-#if CILKPP_MEMLENS_ENABLED
   /// Memlens hook: registers a runtime-owned allocation [base, base+size)
   /// (a reducer view slot, a pool element, a stat block) so an attached
   /// memlens::analyzer can lint distinct structures sharing a cache line.
@@ -104,9 +101,7 @@ class basic_screen_context {
                         const char* label = nullptr) {
     d_->lens_region(base, size, label);
   }
-#endif
 
-#if CILKPP_PEDIGREE_ENABLED
   /// Pedigree surface, mirroring rt::context: the current strand's rank-list
   /// identity, its hash, and the deterministic DPRNG stream seeded by it.
   /// Because both engines replay the serial elision order with the same rank
@@ -114,7 +109,6 @@ class basic_screen_context {
   ped::pedigree pedigree() const { return d_->strand_pedigree(self_); }
   std::uint64_t strand_id() const { return d_->strand_id(self_); }
   std::uint64_t dprng_draw() { return d_->dprng_draw(self_); }
-#endif
 
   Detector& screen_detector() const { return *d_; }
   proc_id procedure() const { return self_; }

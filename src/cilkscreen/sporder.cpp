@@ -17,9 +17,7 @@ order_detector::order_detector() {
 
 proc_id order_detector::enter_spawn(proc_id parent) {
   CILKPP_ASSERT(parent < frames_.size(), "unknown frame");
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::spawn, parent);
-#endif
   ++stats_.procedures;
   frame child;
   {
@@ -44,10 +42,8 @@ proc_id order_detector::enter_spawn(proc_id parent) {
   const proc_id id = static_cast<proc_id>(frames_.size() - 1);
   const proc_id tree_id = tree_.add_spawn(parent);
   CILKPP_ASSERT(tree_id == id, "procedure numbering out of step");
-#if CILKPP_PEDIGREE_ENABLED
   peds_.on_child(parent, id);  // after the lint boundary: it sees the
                                // parent's pre-spawn rank
-#endif
   return id;
 }
 
@@ -55,11 +51,7 @@ void order_detector::exit_spawn(proc_id parent, proc_id child) {
   // The child's strands keep their positions inside its E/H intervals;
   // nothing moves at return.
   (void)parent;
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_procedure_exit(child);
-#else
-  (void)child;
-#endif
 }
 
 proc_id order_detector::enter_call(proc_id parent) {
@@ -74,9 +66,7 @@ proc_id order_detector::enter_call(proc_id parent) {
   const proc_id id = static_cast<proc_id>(frames_.size() - 1);
   const proc_id tree_id = tree_.add_call(parent);
   CILKPP_ASSERT(tree_id == id, "procedure numbering out of step");
-#if CILKPP_PEDIGREE_ENABLED
   peds_.on_child(parent, id);  // a call consumes a parent rank, like spawn
-#endif
   return id;
 }
 
@@ -90,15 +80,11 @@ void order_detector::exit_call(proc_id parent, proc_id child) {
 }
 
 void order_detector::sync(proc_id f) {
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::sync, f);
-#endif
   sync_impl(f);
-#if CILKPP_PEDIGREE_ENABLED
   // Unconditional, unlike sync_impl's no-spawn fast path: the runtime's
   // rank advances at every sync regardless of pending children.
   peds_.on_sync(f);
-#endif
 }
 
 void order_detector::sync_impl(proc_id f) {
@@ -122,11 +108,9 @@ void order_detector::report(race_kind rk, std::uintptr_t addr,
                       (rk == race_kind::view ? 4u : 0u) |
                       (static_cast<std::uint64_t>(first.kind) << 1) |
                       static_cast<std::uint64_t>(second_kind);
-#if CILKPP_PEDIGREE_ENABLED
   // Pedigree-keyed dedup, matching the SP-bags engine bit for bit.
   key = ped::mix(ped::mix(key, peds_.strand_hash_at(first.proc, first.ped_rank)),
                  peds_.strand_hash(current));
-#endif
   if (!reported_.insert(key).second) return;
   race_record r;
   r.kind = rk;
@@ -135,10 +119,8 @@ void order_detector::report(race_kind rk, std::uintptr_t addr,
   r.second = second_kind;
   r.first_proc = first.proc;
   r.second_proc = current;
-#if CILKPP_PEDIGREE_ENABLED
   r.first_ped = peds_.strand_at(first.proc, first.ped_rank);
   r.second_ped = peds_.strand(current);
-#endif
   if (first.label != nullptr) r.first_label = first.label;
   if (second_label != nullptr) r.second_label = second_label;
   races_.push_back(std::move(r));
@@ -154,12 +136,7 @@ void order_detector::on_access(proc_id current, const void* addr,
     return om_list::precedes(cur_h, e.strand);
   };
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
-#if CILKPP_PEDIGREE_ENABLED
   const std::uint64_t cur_rank = peds_.rank(current);
-#else
-  const std::uint64_t cur_rank = 0;
-#endif
-#if CILKPP_MEMLENS_ENABLED
   // Cache-line sharing analysis rides the same stream and the same SP
   // query; once per event, before the byte loop (see detector.cpp).
   if (lens_ != nullptr) {
@@ -168,7 +145,6 @@ void order_detector::on_access(proc_id current, const void* addr,
                        return om_list::precedes(cur_h, s);
                      });
   }
-#endif
   for (std::size_t k = 0; k < size; ++k) {
     shadow_.cell(base + k).hist.access(
         cur_h, current, cur_rank, kind, held_, label, parallel,
@@ -188,7 +164,6 @@ void order_detector::on_access(proc_id current, const void* addr,
         report(race_kind::view, hs.lo, e, current, kind, label);
       }
     }
-#if CILKPP_LINT_ENABLED
     if (lint_ != nullptr) {
       lint_->on_raw_view_access(
           hs.id, current,
@@ -197,7 +172,6 @@ void order_detector::on_access(proc_id current, const void* addr,
           },
           label);
     }
-#endif
   }
 }
 
@@ -216,7 +190,6 @@ void order_detector::on_write(proc_id current, const void* addr,
 void order_detector::lock_acquired(proc_id current, lock_id id) {
   CILKPP_ASSERT(!lockset_contains(held_, id),
                 "lock acquired twice (not recursive)");
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) {
     CILKPP_ASSERT(current < frames_.size(), "unknown frame");
     om_list::node* const cur_h = frames_[current].cur_h;
@@ -234,9 +207,6 @@ void order_detector::lock_acquired(proc_id current, lock_id id) {
           return om_list::precedes(later, earlier);
         });
   }
-#else
-  (void)current;
-#endif
   held_.push_back(id);
 }
 
@@ -244,20 +214,14 @@ void order_detector::lock_released(proc_id current, lock_id id) {
   for (std::size_t i = 0; i < held_.size(); ++i) {
     if (held_[i] == id) {
       held_.swap_remove(i);
-#if CILKPP_LINT_ENABLED
       if (lint_ != nullptr) lint_->on_release(current, id);
-#else
-      (void)current;
-#endif
       return;
     }
   }
   // Double unlock / unlock of a never-locked mutex: the lockset is already
   // consistent, so record the fact and keep going (see detector.cpp).
   ++stats_.unmatched_releases;
-#if CILKPP_LINT_ENABLED
   if (lint_ != nullptr) lint_->on_unmatched_release(current, id);
-#endif
 }
 
 order_detector::hyper_state* order_detector::find_hyper(
@@ -272,12 +236,10 @@ void order_detector::register_hyperobject(const rt::hyperobject_base& h,
                                           const void* base, std::size_t size,
                                           const char* label) {
   const auto lo = reinterpret_cast<std::uintptr_t>(base);
-#if CILKPP_MEMLENS_ENABLED
   // Mirror of detector.cpp: the value bytes are a padding-lint region.
   if (lens_ != nullptr) {
     lens_->on_region(base, size, label != nullptr ? label : "reducer view");
   }
-#endif
   if (hyper_state* hs = find_hyper(h)) {
     hs->lo = lo;
     hs->hi = lo + size;
@@ -314,16 +276,11 @@ void order_detector::on_view_access(proc_id current,
   }
   // View-vs-view accesses are exempt (the reducer guarantee); record with an
   // empty lockset so no lock discipline can mask the raw-vs-view check.
-#if CILKPP_PEDIGREE_ENABLED
   const std::uint64_t cur_rank = peds_.rank(current);
-#else
-  const std::uint64_t cur_rank = 0;
-#endif
   hs.views.access(cur_h, current, cur_rank, kind, lockset{}, hs.label,
                   parallel, [](const entry&) {}, stats_);
 }
 
-#if CILKPP_LINT_ENABLED
 void order_detector::on_view_fetch(proc_id current,
                                    const rt::hyperobject_base& h,
                                    const void* base, std::size_t size,
@@ -334,7 +291,6 @@ void order_detector::on_view_fetch(proc_id current,
   lint_->on_view_fetch(&h, frames_[current].cur_h, current,
                        reinterpret_cast<std::uintptr_t>(base), label);
 }
-#endif
 
 const std::vector<race_record>& order_detector::races() const {
   if (!races_sorted_) {

@@ -79,7 +79,6 @@ class order_detector {
                       const void* base, std::size_t size, access_kind kind,
                       const char* label = nullptr);
 
-#if CILKPP_LINT_ENABLED
   // --- Lock-discipline analysis (cilk::lint). ---
   /// Strands are identified by their Hebrew-order node, which lets this
   /// engine answer the pair-parallel query EXACTLY: for two remembered
@@ -87,17 +86,13 @@ class order_detector {
   using lint_analyzer = lint::analyzer<om_list::node*>;
   void attach_lint(lint_analyzer* la) {
     lint_ = la;
-#if CILKPP_PEDIGREE_ENABLED
     if (la != nullptr) la->set_pedigrees(&peds_);
-#endif
   }
   lint_analyzer* attached_lint() const { return lint_; }
   void on_view_fetch(proc_id current, const rt::hyperobject_base& h,
                      const void* base, std::size_t size,
                      const char* label = nullptr);
-#endif
 
-#if CILKPP_MEMLENS_ENABLED
   // --- Cache-line sharing analysis (cilk::memlens). ---
   /// Strands are identified by their Hebrew-order node; the parallel
   /// predicate is one H-label comparison, exact as always. Accessor
@@ -107,9 +102,7 @@ class order_detector {
   using memlens_analyzer = memlens::analyzer<om_list::node*>;
   void attach_memlens(memlens_analyzer* ml) {
     lens_ = ml;
-#if CILKPP_PEDIGREE_ENABLED
     if (ml != nullptr) ml->set_pedigrees(&peds_);
-#endif
   }
   memlens_analyzer* attached_memlens() const { return lens_; }
   /// Registers a runtime-owned allocation for the padding lints (see
@@ -118,7 +111,6 @@ class order_detector {
                    const char* label = nullptr) {
     if (lens_ != nullptr) lens_->on_region(base, size, label);
   }
-#endif
 
   // --- Results. ---
   /// Reports in deterministic (address, first_proc, second_proc) order.
@@ -133,7 +125,6 @@ class order_detector {
     return english_.relabel_count() + hebrew_.relabel_count();
   }
   static constexpr std::size_t max_reports = 1000;
-#if CILKPP_PEDIGREE_ENABLED
   /// Pedigree bookkeeping — identical, by construction, to the SP-bags
   /// engine's for the same program (both number procedures in serial order
   /// and fire the same enter/sync events).
@@ -141,7 +132,6 @@ class order_detector {
   ped::pedigree strand_pedigree(proc_id p) const { return peds_.strand(p); }
   std::uint64_t strand_id(proc_id p) const { return peds_.strand_hash(p); }
   std::uint64_t dprng_draw(proc_id p) { return peds_.draw(p); }
-#endif
 
  private:
   struct frame {
@@ -179,15 +169,9 @@ class order_detector {
 
   om_list english_;
   om_list hebrew_;
-#if CILKPP_LINT_ENABLED
   lint_analyzer* lint_ = nullptr;
-#endif
-#if CILKPP_MEMLENS_ENABLED
   memlens_analyzer* lens_ = nullptr;
-#endif
-#if CILKPP_PEDIGREE_ENABLED
   ped::proc_pedigrees peds_;
-#endif
   std::vector<frame> frames_;
   proc_tree tree_;
   shadow_table<shadow_cell> shadow_;

@@ -4,9 +4,9 @@
 // The seeding rule (TUTORIAL §15): edge i's draws come from an explicit
 // ped::dprng_stream keyed ped::mix(seed, i) — a pure function of (seed,
 // edge index), never of the executing strand. So the generated graph is
-// identical across worker counts, grain sizes, chaos schedules, engines,
-// and even CILKPP_PEDIGREE=OFF builds; the parallel_for only decides which
-// strand computes which slot of a write-once output array. (Seeding from
+// identical across worker counts, grain sizes, chaos schedules and
+// engines; the parallel_for only decides which strand computes which slot
+// of a write-once output array. (Seeding from
 // the strand pedigree instead would tie the graph to the loop's grain —
 // deterministic, but a different graph per grain. Index-keyed streams are
 // the stronger contract, and what the determinism tests pin.)

@@ -66,8 +66,8 @@ class analyzer {
 
   /// Optional pedigree source (the attaching engine's bookkeeping). When
   /// set, every event captures the acting strand's rank so records carry
-  /// schedule-independent endpoint identities; when null (or pedigrees
-  /// compiled out) records keep empty pedigrees and everything else works.
+  /// schedule-independent endpoint identities; when null records keep
+  /// empty pedigrees and everything else works.
   void set_pedigrees(const ped::proc_pedigrees* p) { peds_ = p; }
 
   /// Reports are deduplicated per site; cap the total like the race

@@ -8,11 +8,6 @@
 // lint_record is the lint analog of race_record: one diagnostic with both
 // endpoints carrying proc_tree provenance, rendered by lint/report.hpp and
 // deterministically ordered so tool output diffs cleanly.
-//
-// The whole layer compiles out with -DCILKPP_LINT=OFF (CMake option →
-// CILKPP_LINT_ENABLED=0): the engines drop their fan-out members and
-// rt::mutex drops its observer hook. These *types* stay compilable either
-// way so analyzer unit tests and tooling build in both configurations.
 #pragma once
 
 #include <algorithm>
@@ -22,10 +17,6 @@
 
 #include "cilkscreen/race_types.hpp"
 #include "pedigree/pedigree.hpp"
-
-#ifndef CILKPP_LINT_ENABLED
-#define CILKPP_LINT_ENABLED 1
-#endif
 
 namespace cilkpp::lint {
 
@@ -74,9 +65,9 @@ struct lint_record {
   std::uintptr_t address = 0;
   screen::proc_id first_proc = screen::invalid_proc;
   screen::proc_id second_proc = screen::invalid_proc;
-  /// Schedule-independent endpoint identities (empty when CILKPP_PEDIGREE
-  /// is OFF): the pedigree of each endpoint's strand, captured at event
-  /// time — what makes lint reports comparable across engines and runs.
+  /// Schedule-independent endpoint identities: the pedigree of each
+  /// endpoint's strand, captured at event time — what makes lint reports
+  /// comparable across engines and runs.
   ped::pedigree first_ped;
   ped::pedigree second_ped;
   std::string first_label;   ///< e.g. the hyperobject label at the fetch

@@ -8,14 +8,9 @@
 // and the peak per-thread nesting depth (depth ≥ 2 means lock-order cycles
 // are *possible* and the program is worth a lint run under the detector).
 // This is also the "lint attached at runtime" leg of bench_lint_overhead.
-//
-// The whole file is empty under -DCILKPP_LINT=OFF (the observer hook it
-// implements does not exist there).
 #pragma once
 
 #include "runtime/mutex.hpp"
-
-#if CILKPP_LINT_ENABLED
 
 #include <atomic>
 #include <cstdint>
@@ -85,5 +80,3 @@ class scoped_mutex_census {
 };
 
 }  // namespace cilkpp::lint
-
-#endif  // CILKPP_LINT_ENABLED

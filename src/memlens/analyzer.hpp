@@ -71,9 +71,8 @@ class analyzer {
   /// Optional pedigree source (the attaching engine's bookkeeping). When
   /// set, accessors capture the acting strand's rank so records carry
   /// schedule-independent endpoint identities and the pair dedup is keyed
-  /// by strand hash; when null (or pedigrees compiled out) records keep
-  /// empty pedigrees, dedup falls back to (proc, rank) packing, and
-  /// everything else works.
+  /// by strand hash; when null records keep empty pedigrees, dedup falls
+  /// back to (proc, rank) packing, and everything else works.
   void set_pedigrees(const ped::proc_pedigrees* p) { peds_ = p; }
 
   /// Reports are deduplicated per (line, strand pair); cap the total like

@@ -30,11 +30,6 @@
 // never raw addresses — so they survive ASLR and compare bit-identical
 // between the SP-bags and SP-order engines (both replay the same serial
 // elision order and assign the same pedigrees).
-//
-// The whole layer compiles out with -DCILKPP_MEMLENS=OFF (CMake option →
-// CILKPP_MEMLENS_ENABLED=0), following the TRACE/STRESS/LINT pattern: the
-// engines drop their fan-out members while these *types* stay compilable
-// either way so unit tests and tooling build in both configurations.
 #pragma once
 
 #include <algorithm>
@@ -44,10 +39,6 @@
 
 #include "cilkscreen/race_types.hpp"
 #include "pedigree/pedigree.hpp"
-
-#ifndef CILKPP_MEMLENS_ENABLED
-#define CILKPP_MEMLENS_ENABLED 1
-#endif
 
 namespace cilkpp::memlens {
 
@@ -123,9 +114,9 @@ struct lens_record {
   screen::access_kind second = screen::access_kind::read;
   screen::proc_id first_proc = screen::invalid_proc;
   screen::proc_id second_proc = screen::invalid_proc;
-  /// Schedule-independent endpoint identities (empty when CILKPP_PEDIGREE
-  /// is OFF, or for padding records): the pedigree of each accessing
-  /// strand, captured at access time.
+  /// Schedule-independent endpoint identities (empty for padding
+  /// records): the pedigree of each accessing strand, captured at access
+  /// time.
   ped::pedigree first_ped;
   ped::pedigree second_ped;
   std::string first_label;   ///< user/runtime label at the first endpoint

@@ -30,10 +30,6 @@
 // mix(parent_hash, birth_rank) is threaded through task creation (one u64).
 // Materializing the full rank list walks the parent chain — O(depth), only
 // done when a report or replay needs the list.
-//
-// Everything in this header compiles regardless of CILKPP_PEDIGREE; the
-// CMake option (default ON) gates the *integration* into the runtime and the
-// analyzers, following the TRACE/STRESS/LINT pattern.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +38,6 @@
 #include <vector>
 
 #include "support/rng.hpp"
-
-#ifndef CILKPP_PEDIGREE_ENABLED
-#define CILKPP_PEDIGREE_ENABLED 1
-#endif
 
 namespace cilkpp::ped {
 

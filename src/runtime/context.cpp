@@ -210,7 +210,6 @@ view_base& context::hyper_view(hyperobject_base& h) {
   return *v;
 }
 
-#if CILKPP_PEDIGREE_ENABLED
 std::uint64_t context::strand_id() const { return ped_mix(ped_hash_, rank_); }
 
 std::uint64_t context::dprng_draw() {
@@ -234,7 +233,6 @@ ped::pedigree context::pedigree() const {
   }
   return p;
 }
-#endif
 
 void worker_stats::merge(const worker_stats& o) {
   spawns += o.spawns;

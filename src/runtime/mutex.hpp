@@ -2,26 +2,20 @@
 // library for mutual-exclusion (mutex) locks") with contention counters, so
 // experiment E12 can report how often the Fig. 6 lock actually blocked.
 //
-// When the lint layer is compiled in (CILKPP_LINT, the default) the mutex
-// also carries an observer hook: a process-wide mutex_observer sees every
-// acquire/release, identified by the mutex's address. That is how lint's
-// SP-blind census (lint/mutex_census.hpp) profiles the production lock
-// traffic the serial-elision analyzers never see. With no observer
-// installed the cost is one relaxed atomic load per operation; with
-// -DCILKPP_LINT=OFF the hook compiles away entirely.
+// The mutex also carries the lint layer's observer hook: a process-wide
+// mutex_observer sees every acquire/release, identified by the mutex's
+// address. That is how lint's SP-blind census (lint/mutex_census.hpp)
+// profiles the production lock traffic the serial-elision analyzers never
+// see. With no observer installed the cost is one acquire load per
+// operation.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 
-#ifndef CILKPP_LINT_ENABLED
-#define CILKPP_LINT_ENABLED 1
-#endif
-
 namespace cilkpp::rt {
 
-#if CILKPP_LINT_ENABLED
 /// Sees every cilk::mutex acquire/release in the process, keyed by the
 /// mutex's address. Callbacks run on the acquiring/releasing thread, under
 /// the lock on acquire and still under it on release — keep them cheap and
@@ -48,7 +42,6 @@ inline void install_mutex_observer(mutex_observer* o) {
 inline mutex_observer* installed_mutex_observer() {
   return mutex_observer_slot().load(std::memory_order_acquire);
 }
-#endif  // CILKPP_LINT_ENABLED
 
 class mutex {
  public:
@@ -69,9 +62,7 @@ class mutex {
   }
 
   void unlock() {
-#if CILKPP_LINT_ENABLED
     if (mutex_observer* o = installed_mutex_observer()) o->on_release(this);
-#endif
     m_.unlock();
   }
 
@@ -90,9 +81,7 @@ class mutex {
 
  private:
   void note_acquired() {
-#if CILKPP_LINT_ENABLED
     if (mutex_observer* o = installed_mutex_observer()) o->on_acquire(this);
-#endif
   }
 
   std::mutex m_;

@@ -48,7 +48,6 @@
 #include "alloc/slab.hpp"
 #include "deque/chase_lev.hpp"
 #include "pedigree/pedigree.hpp"
-#include "runtime/task_pool.hpp"
 #include "runtime/hyper_iface.hpp"
 #include "runtime/slot_arena.hpp"
 #include "support/assert.hpp"
@@ -118,31 +117,16 @@ struct task {
   using run_fn = void (*)(frame_slot& slot, worker& w);
 
   task(run_fn r, context* parent, std::uint64_t ped, std::uint64_t birth)
-      : run(r), parent_frame(parent), child_ped_hash(ped) {
-#if CILKPP_PEDIGREE_ENABLED
-    child_birth_rank = birth;
-#else
-    (void)birth;
-#endif
-  }
-
-  std::uint64_t birth_rank() const {
-#if CILKPP_PEDIGREE_ENABLED
-    return child_birth_rank;
-#else
-    return 0;
-#endif
-  }
+      : run(r), parent_frame(parent), child_ped_hash(ped),
+        child_birth_rank(birth) {}
 
   run_fn run;
   context* parent_frame;
   std::uint64_t child_ped_hash;  ///< pedigree prefix captured at spawn time
-#if CILKPP_PEDIGREE_ENABLED
   /// The parent's rank at the spawn: the child's last rank-list element,
   /// needed only to materialize full pedigrees (the hash above carries the
-  /// hot-path identity either way).
+  /// hot-path identity).
   std::uint64_t child_birth_rank;
-#endif
 };
 
 static_assert(sizeof(task) <= 32, "the record header is 32 bytes");
@@ -447,7 +431,6 @@ class context {
   /// Spawn depth of this frame: 0 for the root.
   std::uint64_t depth() const { return depth_; }
 
-#if CILKPP_PEDIGREE_ENABLED
   /// Pedigree-based strand identifier: a 64-bit value that identifies the
   /// currently executing strand *independent of scheduling* — the same
   /// strand gets the same id on every run and any worker count (the
@@ -465,7 +448,6 @@ class context {
   /// chain's links and birth ranks are immutable after construction, and a
   /// parent outlives its children, so the walk is safe from any strand).
   ped::pedigree pedigree() const;
-#endif
 
  private:
   friend class scheduler;
@@ -503,8 +485,8 @@ class context {
           kind k, std::uint64_t ped_hash, std::uint64_t birth_rank);
 
   /// Deterministic pedigree chaining: the child born at rank r of a frame
-  /// with prefix h gets prefix ped_mix(h, r). The hash chain stays even when
-  /// CILKPP_PEDIGREE is OFF — trace uses it as the frame identity.
+  /// with prefix h gets prefix ped_mix(h, r). Trace uses the hash chain as
+  /// the frame identity.
   static std::uint64_t ped_mix(std::uint64_t h, std::uint64_t r) {
     return ped::mix(h, r);
   }
@@ -685,9 +667,7 @@ class context {
   /// must open a fresh segment.
   void bump_rank() {
     ++rank_;
-#if CILKPP_PEDIGREE_ENABLED
     draws_ = 0;
-#endif
     cached_hyper_ = nullptr;
   }
 
@@ -709,10 +689,8 @@ class context {
   std::uint64_t depth_;
   std::uint64_t ped_hash_;  // hash of this frame's pedigree prefix
   std::uint64_t rank_ = 0;  // spawn/sync rank within this frame
-#if CILKPP_PEDIGREE_ENABLED
   std::uint64_t birth_rank_ = 0;  // parent's rank when this frame was born
   std::uint64_t draws_ = 0;       // dprng draws on the current strand
-#endif
   // Strand-local view cache: repeat accesses to the same hyperobject
   // within a strand skip the flat-map scan. Safe because a view object is
   // heap-stable and leaves its segment only through a fold or an
@@ -897,26 +875,26 @@ struct spawn_record final : task {
 };
 
 /// True when spawning a closure of type Fn builds its record in the child's
-/// slot; otherwise the spawn boxes the closure in one task_pool block.
+/// slot; otherwise the spawn boxes the closure in one slab block.
 template <typename Fn>
 inline constexpr bool spawns_in_slot =
     fits_in_slot<spawn_record<std::decay_t<Fn>>>;
 
 /// The record of a spawned frame whose closure is too large or too aligned
-/// for its slot: the closure lives in one task_pool block, which the record
-/// frees when it is destroyed — before the child signals its join, so the
-/// pool balances the moment the enclosing sync passes.
+/// for its slot: the closure lives in one slab block, which the record frees
+/// when it is destroyed — before the child signals its join, so the block
+/// is back in a magazine the moment the enclosing sync passes.
 template <typename Fn>
 struct boxed_record final : task {
-  static_assert(alignof(Fn) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                "task_pool blocks are aligned for operator new");
+  static_assert(alignof(Fn) <= alloc::block_align,
+                "slab blocks are aligned to a cache line");
 
   template <typename F>
   boxed_record(const task& header, F&& f)
       : task(header), fn(box(std::forward<F>(f))) {}
   ~boxed_record() {
     fn->~Fn();
-    task_deallocate(fn, sizeof(Fn));
+    alloc::slab_deallocate_aligned(fn, sizeof(Fn), alignof(Fn));
   }
   boxed_record(const boxed_record&) = delete;
   boxed_record& operator=(const boxed_record&) = delete;
@@ -925,11 +903,11 @@ struct boxed_record final : task {
 
   template <typename F>
   static Fn* box(F&& f) {
-    void* mem = task_allocate(sizeof(Fn));
+    void* mem = alloc::slab_allocate_aligned(sizeof(Fn), alignof(Fn));
     try {
       return ::new (mem) Fn(std::forward<F>(f));
     } catch (...) {
-      task_deallocate(mem, sizeof(Fn));
+      alloc::slab_deallocate_aligned(mem, sizeof(Fn), alignof(Fn));
       throw;
     }
   }
@@ -1049,7 +1027,7 @@ void context::run_spawned(frame_slot& slot, worker& w) {
   Record& rec = slot.record<Record>();
   context* parent = rec.parent_frame;
   context child(parent->sched_, &w, parent, &slot, kind::spawned,
-                rec.child_ped_hash, rec.birth_rank());
+                rec.child_ped_hash, rec.child_birth_rank);
   std::exception_ptr body_exception;
   try {
     rec.closure()(child);
@@ -1150,11 +1128,7 @@ inline context::context(scheduler* sched, worker* home, context* parent,
       kind_(k),
       depth_(parent == nullptr ? 0 : parent->depth_ + 1),
       ped_hash_(ped_hash) {
-#if CILKPP_PEDIGREE_ENABLED
   birth_rank_ = birth_rank;
-#else
-  (void)birth_rank;
-#endif
   CILKPP_ASSERT(home_ != nullptr, "context created off a worker");
   // ctor and dtor both run on the home worker.
   enter_frame(*home_, depth_);

@@ -33,32 +33,20 @@ class serial_context {
   /// Elided cilk_spawn: run the child now, to completion.
   template <typename Fn>
   void spawn(Fn&& fn) {
-#if CILKPP_PEDIGREE_ENABLED
     serial_context child(work_, ped::mix(ped_hash_, rank_));
     bump_rank();
-#else
-    serial_context child(work_);
-#endif
     std::forward<Fn>(fn)(child);
   }
 
   /// Elided cilk_sync: every child already completed, but the strand after
   /// the sync is new — its rank advances, as under the runtime.
-  void sync() {
-#if CILKPP_PEDIGREE_ENABLED
-    bump_rank();
-#endif
-  }
+  void sync() { bump_rank(); }
 
   /// A plain call of a Cilk function (consumes a rank, like spawn).
   template <typename Fn>
   auto call(Fn&& fn) {
-#if CILKPP_PEDIGREE_ENABLED
     serial_context child(work_, ped::mix(ped_hash_, rank_));
     bump_rank();
-#else
-    serial_context child(work_);
-#endif
     return std::forward<Fn>(fn)(child);
   }
 
@@ -73,15 +61,12 @@ class serial_context {
 
   std::uint64_t accounted_work() const { return *work_; }
 
-#if CILKPP_PEDIGREE_ENABLED
   /// Strand identity and DPRNG, identical to rt::context's for the same
   /// strand (same hash chain, same draw indexing).
   std::uint64_t strand_id() const { return ped::mix(ped_hash_, rank_); }
   std::uint64_t dprng_draw() { return ped::mix(strand_id(), ++draws_); }
-#endif
 
  private:
-#if CILKPP_PEDIGREE_ENABLED
   serial_context(std::uint64_t* shared_work, std::uint64_t ped_hash)
       : work_(shared_work), ped_hash_(ped_hash) {}
 
@@ -89,17 +74,12 @@ class serial_context {
     ++rank_;
     draws_ = 0;
   }
-#else
-  explicit serial_context(std::uint64_t* shared_work) : work_(shared_work) {}
-#endif
 
   std::uint64_t own_work_ = 0;
   std::uint64_t* work_;
-#if CILKPP_PEDIGREE_ENABLED
   std::uint64_t ped_hash_ = ped::root_seed;
   std::uint64_t rank_ = 0;
   std::uint64_t draws_ = 0;
-#endif
 };
 
 }  // namespace cilkpp::rt

@@ -48,7 +48,7 @@ struct isolation_report {
 /// Owns N independent schedulers. Instances are constructed eagerly (their
 /// pool threads exist for the set's whole lifetime, parked when idle) and
 /// never share any scheduler state; the only sharing is the process-wide
-/// thread-local task_pool, which is per-thread by design.
+/// slab allocator, whose magazines are per-thread by design.
 class runtime_set {
  public:
   explicit runtime_set(std::vector<rt::scheduler_options> options);

@@ -71,10 +71,10 @@ concept screens_locks = requires(Ctx& ctx) {
 };
 
 /// Engines exposing the pedigree-seeded DPRNG (rt, elision, both screen
-/// engines, replay — everything but the dag recorder; automatically nothing
-/// when CILKPP_PEDIGREE is OFF). Every work leaf and pfor iteration records
-/// one draw, so the oracle can check the stream is a pure function of
-/// strand identity: bit-identical across engines and chaos schedules.
+/// engines, replay — everything but the dag recorder). Every work leaf and
+/// pfor iteration records one draw, so the oracle can check the stream is a
+/// pure function of strand identity: bit-identical across engines and chaos
+/// schedules.
 template <typename Ctx>
 concept has_dprng = requires(Ctx& ctx) {
   { ctx.dprng_draw() } -> std::same_as<std::uint64_t>;

@@ -11,7 +11,6 @@
 #include "lint/report.hpp"
 #include "memlens/analyzer.hpp"
 #include "memlens/report.hpp"
-#include "runtime/task_pool.hpp"
 #include "sim/machine.hpp"
 #include "stress/replay.hpp"
 
@@ -109,7 +108,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
   auto fail = [&](const char* oracle, std::string detail) {
     rep.failures.push_back(stress_failure{c, oracle, std::move(detail), {}});
   };
-#if CILKPP_PEDIGREE_ENABLED
   // Localize a failure to the strand that wrote output `out` (slot index,
   // or num_slots + cell index): the last-pushed failure gains a REPLAY
   // pedigree, making it reproducible without any schedule.
@@ -120,7 +118,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                                  : pedigree_of_cell(p, out - p.num_slots);
     rep.failures.back().pedigree = ped::to_string(pg);
   };
-#endif
 
   // --- Reference: serial elision. ---
   run_state serial_st(p);
@@ -232,24 +229,18 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
   // analyzer rides along on the same run: generated programs are also
   // well-disciplined by construction (disjoint lock pools — see
   // program.hpp), so any lint record is a bug too.
-#if CILKPP_PEDIGREE_ENABLED
   std::vector<std::uint64_t> screen_draws;
-#endif
   {
     run_state scr_st(p);
     screen::detector d;
-#if CILKPP_LINT_ENABLED
     screen::detector::lint_analyzer la;
     d.attach_lint(&la);
-#endif
-#if CILKPP_MEMLENS_ENABLED
     // Memlens rides along too: the interpreter's pools are padded to one
     // 64-byte line per element (see interp.hpp), so a generated program is
     // false-sharing-clean BY CONSTRUCTION — any memlens record is a bug in
     // the analyzer or in the pool layout, either way ours.
     screen::detector::memlens_analyzer ml;
     d.attach_memlens(&ml);
-#endif
     screen::run_under_detector(d, [&](screen::screen_context& ctx) {
       interp(ctx, p, p.root, scr_st);
     });
@@ -257,7 +248,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
     if (!(scr_r == serial_r)) {
       fail("screen-differs", diff_results(serial_r, scr_r));
     }
-#if CILKPP_PEDIGREE_ENABLED
     // DPRNG cross-engine determinism: a draw is a pure function of strand
     // identity, so elision and the detector's elision-order run must draw
     // the identical stream. (The comparison skips programs with throws:
@@ -276,13 +266,11 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
       attach_pedigree(bad);
     }
     screen_draws = std::move(scr_st.draws);
-#endif
     if (d.found_races()) {
       fail("screen-false-race",
            fmt("%zu report(s) on a race-free program:\n%s", d.races().size(),
                screen::render_races(d.races(), d.procedures()).c_str()));
     }
-#if CILKPP_LINT_ENABLED
     la.finish();
     if (!la.clean()) {
       fail("screen-lint",
@@ -296,8 +284,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                static_cast<unsigned long long>(
                    d.stats().unmatched_releases)));
     }
-#endif
-#if CILKPP_MEMLENS_ENABLED
     ml.finish();
     if (!ml.clean()) {
       fail("screen-memlens",
@@ -305,7 +291,6 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
                ml.records().size(),
                memlens::render_lenses(ml.records(), d.procedures()).c_str()));
     }
-#endif
   }
 
   // --- Threaded runtime under chaos. ---
@@ -324,70 +309,66 @@ void stress_harness::run_case(const stress_case& c, fuzz_report& rep) {
     policy = policies_.back().get();
   }
   sched.install_chaos(policy);
-  run_state rt_st(p);
+  // The leak oracle's scope holds only the threaded run and its run_state,
+  // so every slab block taken inside it must be free again at its end.
   bool threw = false;
-  try {
-    sched.run([&](rt::context& ctx) { interp(ctx, p, p.root, rt_st); });
-  } catch (...) {
-    threw = true;
-  }
-  sched.remove_chaos();
-  ++rep.threaded_runs;
-  if (threw) {
-    fail("runtime-exception",
-         "an exception escaped scheduler::run (sync must deliver "
-         "stress_error to the catching frame)");
-    return;
-  }
-  const run_result rt_r = finish(p, rt_st);
-  rep.fingerprint = hash_combine(rep.fingerprint, rt_r.checksum);
-  if (!(rt_r == serial_r)) {
-    fail("runtime-differs", diff_results(serial_r, rt_r));
-#if CILKPP_PEDIGREE_ENABLED
-    for (std::size_t i = 0; i < serial_st.slots.size(); ++i) {
-      if (*rt_st.slots[i] != *serial_st.slots[i]) {
-        attach_pedigree(i);
-        break;
-      }
+  const std::int64_t leaked = slab_blocks_left_live([&] {
+    run_state rt_st(p);
+    try {
+      sched.run([&](rt::context& ctx) { interp(ctx, p, p.root, rt_st); });
+    } catch (...) {
+      threw = true;
     }
-    if (rep.failures.back().pedigree.empty()) {
-      for (std::size_t i = 0; i < serial_st.cells.size(); ++i) {
-        if (*rt_st.cells[i] != *serial_st.cells[i]) {
-          attach_pedigree(serial_st.slots.size() + i);
+    sched.remove_chaos();
+    ++rep.threaded_runs;
+    if (threw) {
+      fail("runtime-exception",
+           "an exception escaped scheduler::run (sync must deliver "
+           "stress_error to the catching frame)");
+      return;
+    }
+    const run_result rt_r = finish(p, rt_st);
+    rep.fingerprint = hash_combine(rep.fingerprint, rt_r.checksum);
+    if (!(rt_r == serial_r)) {
+      fail("runtime-differs", diff_results(serial_r, rt_r));
+      for (std::size_t i = 0; i < serial_st.slots.size(); ++i) {
+        if (*rt_st.slots[i] != *serial_st.slots[i]) {
+          attach_pedigree(i);
           break;
         }
       }
+      if (rep.failures.back().pedigree.empty()) {
+        for (std::size_t i = 0; i < serial_st.cells.size(); ++i) {
+          if (*rt_st.cells[i] != *serial_st.cells[i]) {
+            attach_pedigree(serial_st.slots.size() + i);
+            break;
+          }
+        }
+      }
     }
-#endif
-  }
-#if CILKPP_PEDIGREE_ENABLED
-  // Schedule independence of strand identity: steals never rename a strand,
-  // so the chaos-scheduled run draws the exact stream the detector's serial
-  // run drew — for every chaos seed, bit for bit.
-  if (rt_st.draws != screen_draws) {
-    std::size_t bad = 0;
-    while (bad < rt_st.draws.size() && rt_st.draws[bad] == screen_draws[bad]) {
-      ++bad;
+    // Schedule independence of strand identity: steals never rename a strand,
+    // so the chaos-scheduled run draws the exact stream the detector's serial
+    // run drew — for every chaos seed, bit for bit.
+    if (rt_st.draws != screen_draws) {
+      std::size_t bad = 0;
+      while (bad < rt_st.draws.size() &&
+             rt_st.draws[bad] == screen_draws[bad]) {
+        ++bad;
+      }
+      fail("dprng-schedule-differs",
+           fmt("draw[%zu] = %llx under cilkscreen, %llx under chaos seed %llu",
+               bad, static_cast<unsigned long long>(screen_draws[bad]),
+               static_cast<unsigned long long>(rt_st.draws[bad]),
+               static_cast<unsigned long long>(c.chaos_seed)));
+      attach_pedigree(bad);
     }
-    fail("dprng-schedule-differs",
-         fmt("draw[%zu] = %llx under cilkscreen, %llx under chaos seed %llu",
-             bad, static_cast<unsigned long long>(screen_draws[bad]),
-             static_cast<unsigned long long>(rt_st.draws[bad]),
-             static_cast<unsigned long long>(c.chaos_seed)));
-    attach_pedigree(bad);
-  }
-#endif
+  });
+  if (threw) return;
 
   // --- Scheduler invariants, once quiescent. ---
-  // Immediate, not polled: a child frees its pool block before it signals
-  // its join, so the pool balances the moment run() returns.
-  const rt::task_pool_stats ps = rt::task_pool_totals();
-  if (!ps.balanced()) {
-    fail("task-pool-leak",
-         fmt("pool not balanced after run(): %llu allocs, %llu frees, %llu live",
-             static_cast<unsigned long long>(ps.total_allocs()),
-             static_cast<unsigned long long>(ps.total_frees()),
-             static_cast<unsigned long long>(ps.live())));
+  if (leaked != 0) {
+    fail("slab-leak", fmt("the threaded run left %lld slab block(s) live",
+                          static_cast<long long>(leaked)));
   }
   const rt::worker_stats agg = sched.stats();
   if (agg.spawns != agg.tasks_executed) {

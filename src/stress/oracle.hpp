@@ -18,22 +18,28 @@
 //   * the threaded run under chaos produces bit-identical results to
 //     elision (spawn determinism + reducer determinism, Sec. 5), for every
 //     chaos seed;
+//   * the threaded run leaks no slab block: every block taken while it ran
+//     — boxed closures, slot-arena chunks, reducer views, the run's pools —
+//     is free again once the run and its run_state are gone
+//     (slab_blocks_left_live);
 //   * scheduler invariants hold once quiescent: spawns == tasks executed,
-//     the task pool is leak-balanced, and each worker's peak deque depth
-//     obeys the busy-leaves-style bound width·live-frames (Sec. 3.1) and
-//     lazy spawning's bound P − 1.
+//     and each worker's peak deque depth obeys the busy-leaves-style bound
+//     width·live-frames (Sec. 3.1) and lazy spawning's bound P − 1.
 //
 // Every failure carries the seeds that deterministically regenerate the
 // program and the chaos parameters (see docs/TUTORIAL.md, "Reproducing a
 // failure from a stress seed").
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc/slab.hpp"
 #include "stress/chaos.hpp"
 #include "stress/interp.hpp"
 #include "stress/program.hpp"
@@ -91,6 +97,27 @@ struct fuzz_report {
   bool ok() const { return failures.empty(); }
   std::string summary() const;
 };
+
+/// The slab leak oracle: runs `scope` and returns how many slab blocks it
+/// left live — taken while it ran and not freed by its end (negative for a
+/// double free). A frame stolen at P > 1 frees its arena chunks in its
+/// destructor, after its join may already have let run() return, so a
+/// nonzero count is read again until `settle` has passed; a leaked block
+/// stays live through that wait.
+template <typename Scope>
+std::int64_t slab_blocks_left_live(
+    Scope&& scope,
+    std::chrono::milliseconds settle = std::chrono::milliseconds(2000)) {
+  const std::int64_t before = alloc::slab_totals().live_blocks();
+  std::forward<Scope>(scope)();
+  const auto deadline = std::chrono::steady_clock::now() + settle;
+  std::int64_t left = alloc::slab_totals().live_blocks() - before;
+  while (left != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    left = alloc::slab_totals().live_blocks() - before;
+  }
+  return left;
+}
 
 /// Runs stress cases against cached schedulers. Chaos policies are kept
 /// alive until the harness is destroyed (declared before the schedulers,

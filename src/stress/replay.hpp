@@ -19,8 +19,6 @@
 
 namespace cilkpp::stress {
 
-#if CILKPP_PEDIGREE_ENABLED
-
 /// What a pruned replay executed (plus the usual run_result over whatever
 /// state the spine actually produced — off-path slots stay zero).
 struct replay_outcome {
@@ -70,7 +68,5 @@ inline ped::pedigree pedigree_of_cell(const program& p, std::size_t cell) {
   interp(ctx, p, p.root, st);
   return out;
 }
-
-#endif  // CILKPP_PEDIGREE_ENABLED
 
 }  // namespace cilkpp::stress

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,14 +17,11 @@
 #include "cilkscreen/screen_context.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/task_pool.hpp"
 #if CILKPP_STRESS_ENABLED
 #include "stress/chaos.hpp"
 #endif
-#if CILKPP_MEMLENS_ENABLED
 #include "memlens/analyzer.hpp"
 #include "memlens/report.hpp"
-#endif
 
 namespace cilkpp {
 namespace {
@@ -44,6 +42,22 @@ TEST(SlabGeometry, SizeClassMap) {
     EXPECT_EQ(alloc::size_class(alloc::class_sizes[c]), c);
     EXPECT_EQ(alloc::size_class(alloc::class_sizes[c] / 2 + 1), c);
   }
+  // Exhaustive against "smallest class that fits": the branch-free
+  // bit_width formula must agree at every size up to past the last class.
+  for (std::size_t size = 0; size <= 4200; ++size) {
+    std::size_t expected = alloc::num_classes;
+    for (std::size_t c = 0; c < alloc::num_classes; ++c) {
+      if (size <= alloc::class_sizes[c]) {
+        expected = c;
+        break;
+      }
+    }
+    if (expected == alloc::num_classes) {
+      EXPECT_GE(alloc::size_class(size), alloc::num_classes) << "size " << size;
+    } else {
+      EXPECT_EQ(alloc::size_class(size), expected) << "size " << size;
+    }
+  }
 }
 
 TEST(SlabGeometry, ClassSizesAreCacheLineMultiples) {
@@ -51,8 +65,6 @@ TEST(SlabGeometry, ClassSizesAreCacheLineMultiples) {
     EXPECT_EQ(alloc::class_sizes[c] % alloc::block_align, 0u)
         << "class " << c;
   }
-  // The pool's classes must all be slab-servable (no silent oversize).
-  EXPECT_LE(sizeof(void*) * 8, alloc::class_sizes[alloc::num_classes - 1]);
 }
 
 TEST(SlabGeometry, BlocksAreLineAlignedAndDisjoint) {
@@ -203,8 +215,6 @@ TEST(SlabChaos, EightSeedSweepStaysBalanced) {
 
 // --- Memlens layout certificate --------------------------------------------
 
-#if CILKPP_MEMLENS_ENABLED
-
 template <typename D>
 class SlabMemlens : public ::testing::Test {
  protected:
@@ -254,18 +264,93 @@ TYPED_TEST(SlabMemlens, SlabServedBlocksAreFalseSharingFree) {
   for (auto [p, sz] : blocks) alloc::slab_deallocate(p, sz);
 }
 
-#endif  // CILKPP_MEMLENS_ENABLED
+// --- Block reuse and per-class statistics ---------------------------------
 
-// --- task_pool stat plumbing (satellite surface) ---------------------------
+TEST(SlabBlocks, LifoReusesBlocksInStackOrder) {
+  // A freed block goes on top of its thread's loaded magazine, so blocks of
+  // one class come back newest-first — also for a smaller request that
+  // rounds into the same class.
+  void* a = alloc::slab_allocate(64);
+  void* b = alloc::slab_allocate(64);
+  void* c = alloc::slab_allocate(48);
+  ASSERT_NE(a, b);
+  ASSERT_NE(b, c);
+  alloc::slab_deallocate(a, 64);
+  alloc::slab_deallocate(b, 64);
+  alloc::slab_deallocate(c, 48);
+  EXPECT_EQ(alloc::slab_allocate(40), c);
+  EXPECT_EQ(alloc::slab_allocate(64), b);
+  EXPECT_EQ(alloc::slab_allocate(64), a);
+  alloc::slab_deallocate(a, 64);
+  alloc::slab_deallocate(b, 64);
+  alloc::slab_deallocate(c, 40);
+}
 
-TEST(TaskPoolOversize, OversizeAllocsAreCounted) {
-  const auto before = rt::task_pool_totals();
-  constexpr std::size_t big = 8192;  // above the largest task class
-  void* p = rt::task_allocate(big);
-  rt::task_deallocate(p, big);
-  const auto after = rt::task_pool_totals();
-  EXPECT_EQ(after.oversize_allocs() - before.oversize_allocs(), 1u);
-  EXPECT_EQ(after.oversize_frees() - before.oversize_frees(), 1u);
+TEST(SlabBlocks, SizeClassesAreIndependent) {
+  void* small = alloc::slab_allocate(64);
+  void* big = alloc::slab_allocate(300);
+  EXPECT_NE(small, big);
+  alloc::slab_deallocate(small, 64);
+  void* big2 = alloc::slab_allocate(257);  // 512 class: not the 64 block
+  EXPECT_NE(big2, small);
+  alloc::slab_deallocate(big, 300);
+  alloc::slab_deallocate(big2, 257);
+}
+
+TEST(SlabStats, CountsAllocsAndFreesPerClass) {
+  const alloc::slab_stats before = alloc::slab_totals();
+  void* p = alloc::slab_allocate(64);   // class 0
+  void* q = alloc::slab_allocate(200);  // class 2 (256)
+  alloc::slab_deallocate(p, 64);
+  alloc::slab_deallocate(q, 200);
+  const alloc::slab_stats after = alloc::slab_totals();
+  EXPECT_EQ(after.classes[0].block_size, 64u);
+  EXPECT_EQ(after.classes[2].block_size, 256u);
+  EXPECT_EQ(after.classes[0].allocs, before.classes[0].allocs + 1);
+  EXPECT_EQ(after.classes[0].frees, before.classes[0].frees + 1);
+  EXPECT_EQ(after.classes[2].allocs, before.classes[2].allocs + 1);
+  EXPECT_EQ(after.classes[2].frees, before.classes[2].frees + 1);
+}
+
+TEST(SlabStats, RecycledCountedWhenServedFromAMagazine) {
+  // Warm the 128-byte class, then allocate again: the second allocation is
+  // the block just freed, and counts as recycled.
+  void* warm = alloc::slab_allocate(100);
+  alloc::slab_deallocate(warm, 100);
+  const alloc::slab_stats before = alloc::slab_totals();
+  void* p = alloc::slab_allocate(128);
+  const alloc::slab_stats after = alloc::slab_totals();
+  EXPECT_EQ(p, warm);
+  EXPECT_EQ(after.classes[1].recycled, before.classes[1].recycled + 1);
+  alloc::slab_deallocate(p, 128);
+}
+
+TEST(SlabStats, OversizeRequestsCountedOnOversizeRow) {
+  constexpr std::size_t big = 10000;  // above the largest class
+  const alloc::slab_stats before = alloc::slab_totals();
+  void* p = alloc::slab_allocate(big);
+  ASSERT_NE(p, nullptr);
+  std::memset(p, 0xab, big);  // fully usable
+  const alloc::slab_stats mid = alloc::slab_totals();
+  alloc::slab_deallocate(p, big);
+  const alloc::slab_stats after = alloc::slab_totals();
+  const alloc::slab_class_stats& row = after.classes[alloc::oversize_row];
+  EXPECT_EQ(row.block_size, 0u);  // heap passthrough, no fixed class size
+  EXPECT_EQ(row.allocs, before.classes[alloc::oversize_row].allocs + 1);
+  EXPECT_EQ(row.frees, before.classes[alloc::oversize_row].frees + 1);
+  EXPECT_EQ(mid.live_blocks(), before.live_blocks() + 1);
+  EXPECT_EQ(after.live_blocks(), before.live_blocks());
+}
+
+TEST(SlabStats, LiveTracksOutstandingBlocks) {
+  const alloc::slab_stats before = alloc::slab_totals();
+  void* a = alloc::slab_allocate(64);
+  void* b = alloc::slab_allocate(64);
+  EXPECT_EQ(alloc::slab_totals().live_blocks(), before.live_blocks() + 2);
+  alloc::slab_deallocate(a, 64);
+  EXPECT_EQ(alloc::slab_totals().live_blocks(), before.live_blocks() + 1);
+  alloc::slab_deallocate(b, 64);
+  EXPECT_EQ(alloc::slab_totals().live_blocks(), before.live_blocks());
 }
 
 }  // namespace

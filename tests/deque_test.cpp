@@ -1,4 +1,4 @@
-// Tests for the Chase–Lev work-stealing deque and the locked baseline.
+// Tests for the Chase–Lev work-stealing deque.
 //
 // The owner-side tests exercise LIFO semantics and growth; the concurrent
 // stress tests check the fundamental safety property: every pushed element
@@ -11,9 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "deque/abp_deque.hpp"
 #include "deque/chase_lev.hpp"
-#include "deque/locked_deque.hpp"
 #include "support/rng.hpp"
 
 namespace cilkpp {
@@ -24,8 +22,7 @@ using payload = std::uint64_t*;
 template <typename D>
 class DequeTest : public ::testing::Test {};
 
-using deque_types = ::testing::Types<chase_lev_deque<payload>, locked_deque<payload>,
-                                     abp_deque<payload>>;
+using deque_types = ::testing::Types<chase_lev_deque<payload>>;
 TYPED_TEST_SUITE(DequeTest, deque_types);
 
 TYPED_TEST(DequeTest, OwnerLifoOrder) {
@@ -156,35 +153,6 @@ void stress_exactly_once(unsigned thieves, std::size_t n) {
     EXPECT_EQ(consumed[i].load(), 1u) << "element " << i;
 }
 
-TEST(AbpDeque, ReportsFullAtCapacity) {
-  abp_deque<payload> d(8);
-  std::uint64_t items[9];
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(d.push_bottom(&items[i]));
-  EXPECT_FALSE(d.push_bottom(&items[8]));  // bounded: reports full
-  EXPECT_EQ(d.pop_bottom(), &items[7]);
-  EXPECT_TRUE(d.push_bottom(&items[8]));
-}
-
-TEST(AbpDeque, ResetAfterEmptyReusesSlots) {
-  abp_deque<payload> d(4);
-  std::uint64_t x = 1;
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(d.push_bottom(&x));
-    EXPECT_EQ(d.pop_bottom(), &x);
-    EXPECT_EQ(d.pop_bottom(), std::nullopt);
-  }
-  // After many empty resets the deque still holds a full batch.
-  std::uint64_t items[4];
-  for (auto& i : items) EXPECT_TRUE(d.push_bottom(&i));
-  payload out = nullptr;
-  EXPECT_EQ(d.steal(out), steal_result::success);
-  EXPECT_EQ(out, &items[0]);
-}
-
-TEST(AbpDeque, StressFourThieves) {
-  stress_exactly_once<abp_deque<payload>>(4, 8000);  // fits the default cap
-}
-
 // Randomized differential test: drive chase_lev with a random op sequence
 // and compare against a simple reference (owner-side only; steals checked
 // against the reference front).
@@ -236,10 +204,6 @@ TEST(ChaseLev, StressOneThief) {
 
 TEST(ChaseLev, StressFourThieves) {
   stress_exactly_once<chase_lev_deque<payload>>(4, 50000);
-}
-
-TEST(LockedDeque, StressFourThieves) {
-  stress_exactly_once<locked_deque<payload>>(4, 20000);
 }
 
 TEST(ChaseLev, StressSmallInitialCapacityForcesGrowthUnderStealing) {

@@ -5,8 +5,7 @@
 // both engines are exact, and the serial-ABBA suppression in particular
 // must hold under BOTH (2-lock cycles always have the current strand as one
 // endpoint, so even SP-bags' conservative pair predicate never fires).
-// Analyzer-direct and rendering tests use a synthetic strand id and stay
-// compiled even with -DCILKPP_LINT=OFF, where the engine hooks vanish.
+// Analyzer-direct and rendering tests use a synthetic strand id.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -181,8 +180,6 @@ TEST(LintReport, MessageShapes) {
             "reducer view (sum) at 0x10 obtained by root/spawn#1 "
             "observed raw by root");
 }
-
-#if CILKPP_LINT_ENABLED
 
 // --- The analyzer attached to a real SP engine, typed over both ---
 
@@ -486,8 +483,6 @@ TEST(MutexCensus, UninstalledMutexIsUnobserved) {
   }
   EXPECT_EQ(rt::installed_mutex_observer(), nullptr);
 }
-
-#endif  // CILKPP_LINT_ENABLED
 
 }  // namespace
 }  // namespace cilkpp

@@ -264,8 +264,6 @@ TEST(MemlensFingerprint, IgnoresLineAddressesAndProcIds) {
   EXPECT_NE(memlens::lens_set_fingerprint(ml.records()), run_at(0x10000, 1));
 }
 
-#if CILKPP_MEMLENS_ENABLED
-
 // --- The analyzer attached to a real SP engine, typed over both ---
 
 template <typename D>
@@ -310,10 +308,8 @@ TYPED_TEST(MemlensEngine, SiblingSpawnWritersOnOneLineAreFalseSharing) {
   const std::string msg = memlens::render_lens(r, d.procedures());
   EXPECT_NE(msg.find("false sharing"), std::string::npos) << msg;
   EXPECT_NE(msg.find("root/spawn#1"), std::string::npos) << msg;
-#if CILKPP_PEDIGREE_ENABLED
   EXPECT_FALSE(r.first_ped.empty());
   EXPECT_FALSE(r.second_ped.empty());
-#endif
 }
 
 TYPED_TEST(MemlensEngine, Grain1ParallelForOverAdjacentBytesIsFalseSharing) {
@@ -476,8 +472,6 @@ TEST(MemlensCrossEngine, GeneratedCorpusIsMemlensCleanOnBothEngines) {
   }
   EXPECT_TRUE(saw_stripes);  // the sweep actually exercised stripe_write
 }
-
-#endif  // CILKPP_MEMLENS_ENABLED
 
 }  // namespace
 }  // namespace cilkpp

@@ -128,8 +128,6 @@ TEST(Dprng, BelowIsInRangeAndUnitIsInUnitInterval) {
   }
 }
 
-#if CILKPP_PEDIGREE_ENABLED
-
 // --- Cross-engine strand identity. ---
 
 // A fixed spawn/call/sync tree with parallel_for loops, generic over the
@@ -355,7 +353,5 @@ TEST(Replay, TargetNotInProgramIsNotReached) {
   EXPECT_FALSE(ctx.reached());
   EXPECT_EQ(sink, 0u);  // nothing on that spine exists
 }
-
-#endif  // CILKPP_PEDIGREE_ENABLED
 
 }  // namespace

@@ -13,20 +13,20 @@
 #include <list>
 #include <memory>
 #include <numeric>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc/slab.hpp"
 #include "hyper/reducer.hpp"
 #include "runtime/mutex.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/serial.hpp"
 #include "runtime/slot_arena.hpp"
-#include "runtime/task_pool.hpp"
 #include "workloads/fib.hpp"
+#include "support/cache.hpp"
 #include "workloads/qsort.hpp"
 
 namespace cilkpp::rt {
@@ -724,8 +724,6 @@ TEST(EdgeCases, ManyWorkersOversubscribedSmoke) {
 }
 
 // --- Pedigrees and deterministic parallel RNG. ---
-// (The rank-list machinery compiles out with -DCILKPP_PEDIGREE=OFF.)
-#if CILKPP_PEDIGREE_ENABLED
 
 // Collect (strand_id, first dprng draw) along a fixed spawn tree.
 void collect_ids(context& ctx, int depth,
@@ -812,39 +810,12 @@ TEST(Pedigree, DprngStreamIsDeterministic) {
   EXPECT_EQ(draws(1), draws(4));
 }
 
-#endif  // CILKPP_PEDIGREE_ENABLED
+// --- Spawn churn. ---
 
-// --- Task pool. ---
-
-TEST(TaskPool, RecyclesBlocksWithinAThread) {
-  void* first = task_allocate(48);
-  task_deallocate(first, 48);
-  void* second = task_allocate(40);  // same 64-byte class: reuses the block
-  EXPECT_EQ(second, first);
-  task_deallocate(second, 40);
-}
-
-TEST(TaskPool, SizeClassesAreIndependent) {
-  void* small = task_allocate(64);
-  void* big = task_allocate(300);
-  EXPECT_NE(small, big);
-  task_deallocate(small, 64);
-  void* big2 = task_allocate(257);  // 512-class: must not take the 64 block
-  EXPECT_NE(big2, small);
-  task_deallocate(big, 300);
-  task_deallocate(big2, 257);
-}
-
-TEST(TaskPool, OversizedRequestsFallBackToHeap) {
-  void* huge = task_allocate(10000);
-  ASSERT_NE(huge, nullptr);
-  std::memset(huge, 0xab, 10000);  // fully usable
-  task_deallocate(huge, 10000);
-}
-
-TEST(TaskPool, SurvivesHeavyChurnAcrossWorkers) {
-  // Tasks are allocated on the spawning worker and freed on the executing
-  // one; heavy cross-worker churn must neither leak (ASan build) nor crash.
+TEST(SpawnChurn, SurvivesHeavyChurnAcrossWorkers) {
+  // Records are built in the spawning frame's slots and run on whichever
+  // worker pops or steals them; heavy cross-worker churn must neither leak
+  // (ASan build) nor crash.
   scheduler sched(4);
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> n{0};
@@ -1056,8 +1027,8 @@ TEST(WideFanout, HundredThousandChildrenReducersAndEarliestException) {
 
 TEST(WideFanout, RepeatedWideSyncsReuseArenaChunks) {
   // The steady-state of a parallel_for spine: fold, spawn wide again. The
-  // arena must reuse its chunks across epochs and the pool its blocks; the
-  // leak oracle (allocs == frees) must hold afterwards.
+  // arena must reuse its chunks across epochs and free them all when the
+  // frame ends (the ASan build's leak check).
   scheduler sched(2);
   std::atomic<std::uint64_t> total{0};
   sched.run([&](context& ctx) {
@@ -1073,7 +1044,7 @@ TEST(WideFanout, RepeatedWideSyncsReuseArenaChunks) {
   EXPECT_EQ(total.load(), 50'000u);
 }
 
-// --- Work-first spawn path: a child that is never stolen costs no pool
+// --- Work-first spawn path: a child that is never stolen costs no slab
 // block (its record lives in its frame slot) and no atomic RMW. ---
 
 /// An engine whose spawn only checks, at compile time, that the runtime
@@ -1083,7 +1054,7 @@ TEST(WideFanout, RepeatedWideSyncsReuseArenaChunks) {
 struct slot_probe {
   template <typename Fn>
   void spawn(Fn&&) {
-    static_assert(spawns_in_slot<Fn>, "closure would take a pool block");
+    static_assert(spawns_in_slot<Fn>, "closure would take a slab block");
   }
   template <typename Fn>
   void call(Fn&& fn) {
@@ -1112,38 +1083,92 @@ struct slot_probe {
 static_assert(fits_in_slot<leaf_record<std::function<void(int)>, std::uint64_t>>,
               "spawn_leaf records refer to the body instead of copying it");
 
-std::uint64_t pool_allocs() { return task_pool_totals().total_allocs(); }
+/// Slab blocks handed out so far, over every class.
+std::uint64_t slab_allocs() { return alloc::slab_totals().total_allocs(); }
 
-TEST(SpawnPath, InSlotSpawnsTakeNoPoolBlocks) {
-  scheduler sched(1);
-  const int fib25 = serial_fib(25);
-  sched.run([&](context& ctx) {  // warm-up: arena chunks, deque, slab
-    for (int i = 0; i < 1000; ++i) {
-      ctx.spawn([](context&) {});
-      ctx.sync();
-    }
-    EXPECT_EQ(fib(ctx, 20), serial_fib(20));
-  });
-  const std::uint64_t before = pool_allocs();
-  sched.run([&](context& ctx) {
-    for (int i = 0; i < 10'000; ++i) {
-      ctx.spawn([](context&) {});
-      ctx.sync();
-    }
-  });
-  EXPECT_EQ(pool_allocs(), before) << "empty spawn+sync pair loop";
-  const std::uint64_t fib_spawns_before = sched.stats().spawns;
-  const std::uint64_t value = sched.run([](context& ctx) {
-    return workloads::fib(ctx, 25, 0);
-  });
-  EXPECT_EQ(value, static_cast<std::uint64_t>(fib25));
-  EXPECT_GT(sched.stats().spawns, fib_spawns_before);
-  EXPECT_EQ(pool_allocs(), before) << "fib(25)";
-  EXPECT_TRUE(task_pool_totals().balanced());
+/// The slab row that boxes a spawn closure of type Fn.
+template <typename Fn>
+alloc::slab_class_stats box_row() {
+  return alloc::slab_totals().classes[alloc::size_class(sizeof(Fn))];
 }
 
-TEST(SpawnPath, OversizedClosureTakesOnePoolBlockPerSpawn) {
-  // A closure too large for its slot takes one pool block per pushed spawn
+/// Runs body(frame) in a called frame of the root of a scheduler whose
+/// P − 1 thieves are each held busy by a stolen task while P − 1 empty
+/// tasks wait in the root's deque: the deque then holds P − 1 tasks at
+/// every spawn body makes, so each of them runs as a call.
+template <typename Body>
+void run_with_thieves_held(scheduler& sched, Body body) {
+  const unsigned thieves = sched.num_workers() - 1;
+  ASSERT_GT(thieves, 0u);
+  std::atomic<unsigned> busy{0};
+  std::atomic<bool> release{false};
+  sched.run([&](context& ctx) {
+    for (unsigned i = 0; i < thieves; ++i) {
+      ctx.spawn([&](context&) {
+        busy.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      });
+    }
+    // The root waits here without running anything, so only thieves can
+    // take the blocking tasks, and each holds its thief until the release.
+    while (busy.load() < thieves) std::this_thread::yield();
+    for (unsigned i = 0; i < thieves; ++i) {
+      ctx.spawn([](context&) {});  // pushed: the deque held fewer
+    }
+    ctx.call(body);
+    release.store(true);
+  });
+}
+
+TEST(SpawnPath, InSlotSpawnsTakeNoSlabBlocks) {
+  // One worker: no record leaves its slot and no frame grows an arena
+  // chunk, so the pair loop and fib(25) take no slab block of any class.
+  {
+    scheduler sched(1);
+    const int fib25 = serial_fib(25);
+    sched.run([&](context& ctx) {  // warm-up: deque, slab
+      for (int i = 0; i < 1000; ++i) {
+        ctx.spawn([](context&) {});
+        ctx.sync();
+      }
+      EXPECT_EQ(fib(ctx, 20), serial_fib(20));
+    });
+    const std::int64_t live_before = alloc::slab_totals().live_blocks();
+    const std::uint64_t before = slab_allocs();
+    sched.run([&](context& ctx) {
+      for (int i = 0; i < 10'000; ++i) {
+        ctx.spawn([](context&) {});
+        ctx.sync();
+      }
+    });
+    EXPECT_EQ(slab_allocs(), before) << "empty spawn+sync pair loop";
+    const std::uint64_t fib_spawns_before = sched.stats().spawns;
+    const std::uint64_t value = sched.run([](context& ctx) {
+      return workloads::fib(ctx, 25, 0);
+    });
+    EXPECT_EQ(value, static_cast<std::uint64_t>(fib25));
+    EXPECT_GT(sched.stats().spawns, fib_spawns_before);
+    EXPECT_EQ(slab_allocs(), before) << "fib(25)";
+    EXPECT_EQ(alloc::slab_totals().live_blocks(), live_before);
+  }
+  // Four workers: a frame whose queued children thieves took pushes again
+  // past its two inline slots and takes a 2 KiB arena chunk, under the
+  // bench_spawn_path bound of 0.01 slab blocks per spawn.
+  {
+    scheduler sched(4);
+    const std::uint64_t before = slab_allocs();
+    const std::uint64_t value = sched.run([](context& ctx) {
+      return workloads::fib(ctx, 25, 0);
+    });
+    EXPECT_EQ(value, static_cast<std::uint64_t>(serial_fib(25)));
+    const double per_spawn = static_cast<double>(slab_allocs() - before) /
+                             static_cast<double>(sched.stats().spawns);
+    EXPECT_LE(per_spawn, 0.01);
+  }
+}
+
+TEST(SpawnPath, OversizedClosureTakesOneSlabBlockPerSpawn) {
+  // A closure too large for its slot takes one slab block per pushed spawn
   // and none for a spawn that runs as a call, which copies the closure onto
   // its own stack.
   std::array<std::uint64_t, 32> payload{};
@@ -1152,24 +1177,24 @@ TEST(SpawnPath, OversizedClosureTakesOnePoolBlockPerSpawn) {
   auto big = [&sum, payload](context&) {
     sum.fetch_add(payload[31], std::memory_order_relaxed);
   };
-  static_assert(!spawns_in_slot<decltype(big)>);
+  using big_closure = decltype(big);
+  static_assert(!spawns_in_slot<big_closure>);
 
   // A frame that syncs after at most P − 1 spawns pushes every one of them:
   // its leaf children spawn nothing, so each batch starts on an empty deque.
   {
     scheduler sched(4);
-    const task_pool_stats before = task_pool_totals();
+    const alloc::slab_class_stats before = box_row<big_closure>();
     sched.run([&](context& ctx) {
       for (int i = 0; i < 100; ++i) {
         ctx.spawn(big);
         if (i % 3 == 2) ctx.sync();
       }
     });
-    const task_pool_stats after = task_pool_totals();
+    const alloc::slab_class_stats after = box_row<big_closure>();
     EXPECT_EQ(sum.load(), 100u);
-    EXPECT_EQ(after.total_allocs() - before.total_allocs(), 100u);
-    EXPECT_EQ(after.total_frees() - before.total_frees(), 100u);
-    EXPECT_TRUE(after.balanced());
+    EXPECT_EQ(after.allocs - before.allocs, 100u);
+    EXPECT_EQ(after.frees - before.frees, 100u);
   }
 
   // With the only thief of a two-worker scheduler held busy and one task
@@ -1177,27 +1202,186 @@ TEST(SpawnPath, OversizedClosureTakesOnePoolBlockPerSpawn) {
   {
     sum.store(0);
     scheduler sched(2);
-    std::atomic<bool> thief_busy{false};
-    std::atomic<bool> release{false};
-    const task_pool_stats before = task_pool_totals();
-    sched.run([&](context& ctx) {
-      ctx.spawn([&](context&) {
-        thief_busy.store(true);
-        while (!release.load()) std::this_thread::yield();
-      });
-      while (!thief_busy.load()) std::this_thread::yield();
-      ctx.spawn([](context&) {});  // pushed: the deque is empty after the steal
-      ctx.call([&](context& frame) {
-        for (int i = 0; i < 100; ++i) frame.spawn(big);
-      });
+    const alloc::slab_class_stats before = box_row<big_closure>();
+    run_with_thieves_held(sched, [&](context& frame) {
+      for (int i = 0; i < 100; ++i) frame.spawn(big);
       EXPECT_EQ(sum.load(), 100u) << "the children ran before the sync";
-      release.store(true);
     });
-    const task_pool_stats after = task_pool_totals();
-    EXPECT_EQ(after.total_allocs() - before.total_allocs(), 0u);
-    EXPECT_EQ(after.total_frees() - before.total_frees(), 0u);
-    EXPECT_TRUE(after.balanced());
+    const alloc::slab_class_stats after = box_row<big_closure>();
+    EXPECT_EQ(after.allocs - before.allocs, 0u);
+    EXPECT_EQ(after.frees - before.frees, 0u);
   }
+}
+
+std::uint64_t tree_sum(context& ctx, unsigned depth) {
+  if (depth == 0) return 1;
+  std::uint64_t a = 0;
+  ctx.spawn([&a, depth](context& child) { a = tree_sum(child, depth - 1); });
+  const std::uint64_t b = tree_sum(ctx, depth - 1);
+  ctx.sync();
+  return a + b;
+}
+
+std::uint64_t boxed_tree_sum(context& ctx, unsigned depth);
+
+/// boxed_tree_sum's spawn closure: its payload is too large for a frame
+/// slot, so every pushed spawn boxes it in one slab block.
+auto boxed_child(std::uint64_t& a, unsigned depth) {
+  std::array<std::uint64_t, 16> payload{};
+  payload[0] = 1;
+  return [&a, depth, payload](context& child) {
+    a = payload[0] * boxed_tree_sum(child, depth - 1);
+  };
+}
+using boxed_child_closure =
+    decltype(boxed_child(std::declval<std::uint64_t&>(), 0));
+static_assert(!spawns_in_slot<boxed_child_closure>);
+
+/// tree_sum whose every spawn boxes its closure.
+std::uint64_t boxed_tree_sum(context& ctx, unsigned depth) {
+  if (depth == 0) return 1;
+  std::uint64_t a = 0;
+  ctx.spawn(boxed_child(a, depth));
+  const std::uint64_t b = boxed_tree_sum(ctx, depth - 1);
+  ctx.sync();
+  return a + b;
+}
+
+TEST(BoxedSpawns, BalancedAfterSchedulerRuns) {
+  // A closure that fits in its frame slot takes no slab block to box it; a
+  // larger one takes exactly one block per pushed spawn and none for a
+  // spawn that runs as a call; and the child frees its block before it
+  // signals its join — so the closure's slab row balances the moment run()
+  // returns, no matter which worker freed which block.
+  scheduler sched(4);
+  constexpr unsigned depth = 10;
+  // tree_sum's closure (a reference and an unsigned) would box in class 0.
+  const std::uint64_t in_slot_before = alloc::slab_totals().classes[0].allocs;
+  for (int round = 0; round < 4; ++round) {
+    const std::uint64_t sum =
+        sched.run([](context& ctx) { return tree_sum(ctx, depth); });
+    EXPECT_EQ(sum, std::uint64_t{1} << depth);
+  }
+  EXPECT_EQ(alloc::slab_totals().classes[0].allocs, in_slot_before)
+      << "in-slot spawns took slab blocks";
+
+  for (int round = 0; round < 4; ++round) {
+    const alloc::slab_class_stats before = box_row<boxed_child_closure>();
+    const std::uint64_t sum =
+        sched.run([](context& ctx) { return boxed_tree_sum(ctx, depth); });
+    EXPECT_EQ(sum, std::uint64_t{1} << depth);
+    const alloc::slab_class_stats after = box_row<boxed_child_closure>();
+    EXPECT_EQ(after.allocs - before.allocs, after.frees - before.frees);
+  }
+
+  // Exactly one block per pushed spawn: a frame that syncs after at most
+  // P − 1 spawns pushes every one (its children spawn nothing, so each
+  // batch starts on an empty deque).
+  const std::array<std::uint64_t, 16> payload{};
+  auto boxed_leaf = [payload](context&) { (void)payload; };
+  using boxed_leaf_closure = decltype(boxed_leaf);
+  static_assert(!spawns_in_slot<boxed_leaf_closure>);
+  const alloc::slab_class_stats pushed_before = box_row<boxed_leaf_closure>();
+  constexpr unsigned batches = 50;
+  sched.run([&](context& ctx) {
+    for (unsigned b = 0; b < batches; ++b) {
+      for (unsigned i = 0; i + 1 < sched.num_workers(); ++i) {
+        ctx.spawn(boxed_leaf);
+      }
+      ctx.sync();
+    }
+  });
+  const alloc::slab_class_stats pushed_after = box_row<boxed_leaf_closure>();
+  EXPECT_EQ(pushed_after.allocs - pushed_before.allocs,
+            batches * (sched.num_workers() - 1));
+  EXPECT_EQ(pushed_after.frees - pushed_before.frees,
+            batches * (sched.num_workers() - 1));
+
+  // No block for a spawn that runs as a call: all 2^depth − 1 spawns of a
+  // boxed tree, with the only thief held busy.
+  scheduler duo(2);
+  const alloc::slab_class_stats inline_before = box_row<boxed_child_closure>();
+  for (int round = 0; round < 4; ++round) {
+    std::uint64_t sum = 0;
+    run_with_thieves_held(duo, [&](context& frame) {
+      sum = boxed_tree_sum(frame, depth);
+    });
+    EXPECT_EQ(sum, std::uint64_t{1} << depth);
+  }
+  const alloc::slab_class_stats inline_after = box_row<boxed_child_closure>();
+  EXPECT_EQ(inline_after.allocs, inline_before.allocs);
+  EXPECT_EQ(inline_after.frees, inline_before.frees);
+}
+
+TEST(BoxedSpawns, BalanceSurvivesExceptionUnwinds) {
+  // Four workers, so the root pushes all three children (its deque holds
+  // fewer than P − 1 tasks at each spawn) and the boxed one takes a block.
+  scheduler sched(4);
+  for (int round = 0; round < 8; ++round) {
+    const alloc::slab_class_stats before = box_row<boxed_child_closure>();
+    try {
+      sched.run([&](context& ctx) {
+        ctx.spawn([](context& child) { (void)tree_sum(child, 6); });
+        ctx.spawn([](context& child) { (void)boxed_tree_sum(child, 6); });
+        ctx.spawn([](context&) { throw std::runtime_error("boom"); });
+        ctx.sync();
+      });
+      FAIL() << "exception did not propagate";
+    } catch (const std::runtime_error&) {
+    }
+    const alloc::slab_class_stats after = box_row<boxed_child_closure>();
+    EXPECT_GE(after.allocs - before.allocs, 1u) << "round " << round;
+    EXPECT_EQ(after.allocs - before.allocs, after.frees - before.frees)
+        << "round " << round;
+  }
+}
+
+/// A closure that captures a cache-line-aligned value by copy: too aligned
+/// for a frame slot, so a pushed spawn boxes it in a 64-byte-aligned slab
+/// block and a spawn that runs as a call copies it onto the stack.
+struct over_aligned_probe {
+  padded<std::uint64_t> value;
+  std::atomic<unsigned>* checked;
+  void operator()(context&) const {
+    EXPECT_EQ(value.value, 0x5eed'cafe'f00dULL);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&value) % cache_line_size, 0u);
+    checked->fetch_add(1);
+  }
+};
+static_assert(alignof(over_aligned_probe) == cache_line_size);
+static_assert(!spawns_in_slot<over_aligned_probe>);
+
+class OverAlignedClosure : public ::testing::TestWithParam<unsigned> {};
+INSTANTIATE_TEST_SUITE_P(Workers, OverAlignedClosure, ::testing::Values(1u, 4u));
+
+TEST_P(OverAlignedClosure, SpawnsPushedAndAsACall) {
+  scheduler sched(GetParam());
+  std::atomic<unsigned> checked{0};
+  const over_aligned_probe probe{padded<std::uint64_t>(0x5eed'cafe'f00dULL),
+                                 &checked};
+  // Pushed from a frame with an empty deque (a one-worker scheduler runs it
+  // as a call instead): one box on a pushing scheduler, none on one worker.
+  const alloc::slab_class_stats before = box_row<over_aligned_probe>();
+  sched.run([&](context& ctx) {
+    ctx.spawn(probe);
+    ctx.sync();
+  });
+  const alloc::slab_class_stats pushed = box_row<over_aligned_probe>();
+  EXPECT_EQ(checked.load(), 1u);
+  EXPECT_EQ(pushed.allocs - before.allocs, GetParam() == 1 ? 0u : 1u);
+  EXPECT_EQ(pushed.frees - before.frees, pushed.allocs - before.allocs);
+  // Run as a call: with every thief held and P − 1 tasks queued (or on one
+  // worker), no spawn pushes, so none boxes.
+  const auto spawn_calls = [&](context& frame) {
+    for (int i = 0; i < 4; ++i) frame.spawn(probe);
+    EXPECT_EQ(checked.load(), 5u) << "the children ran before the sync";
+  };
+  if (GetParam() == 1) {
+    sched.run([&](context& ctx) { ctx.call(spawn_calls); });
+  } else {
+    run_with_thieves_held(sched, spawn_calls);
+  }
+  EXPECT_EQ(box_row<over_aligned_probe>().allocs, pushed.allocs);
 }
 
 struct copy_error : std::runtime_error {
@@ -1205,7 +1389,7 @@ struct copy_error : std::runtime_error {
 };
 
 /// A closure whose copy constructor throws; `Pad` bytes of payload decide
-/// whether its record lives in the slot or boxes it in a pool block.
+/// whether its record lives in the slot or boxes it in a slab block.
 template <std::size_t Pad>
 struct throwing_copy {
   throwing_copy() = default;
@@ -1221,7 +1405,7 @@ TEST_P(ThrowingClosureCopy, ReachesTheCallerWithoutAHang) {
   static_assert(spawns_in_slot<throwing_copy<1>>);
   static_assert(!spawns_in_slot<throwing_copy<512>>);
   scheduler sched(GetParam());
-  const task_pool_stats before = task_pool_totals();
+  const alloc::slab_class_stats before = box_row<throwing_copy<512>>();
   const throwing_copy<1> small;
   const throwing_copy<512> large;
   // The spawn throws out of the root body: run()'s unwinding epilogue must
@@ -1240,12 +1424,12 @@ TEST_P(ThrowingClosureCopy, ReachesTheCallerWithoutAHang) {
     ctx.sync();
   });
   EXPECT_EQ(order.value(), (std::list<int>{1, 2}));
-  const task_pool_stats after = task_pool_totals();
-  EXPECT_TRUE(after.balanced());
-  // Two boxes when the spawns push records; a one-worker scheduler runs
-  // each child on a copy of its closure on the stack, which needs no box.
-  EXPECT_EQ(after.total_allocs() - before.total_allocs(),
-            GetParam() == 1 ? 0u : 2u);
+  const alloc::slab_class_stats after = box_row<throwing_copy<512>>();
+  // Two boxes when the spawns push records, each freed as its copy threw; a
+  // one-worker scheduler runs each child on a copy of its closure on the
+  // stack, which needs no box.
+  EXPECT_EQ(after.allocs - before.allocs, GetParam() == 1 ? 0u : 2u);
+  EXPECT_EQ(after.frees - before.frees, after.allocs - before.allocs);
   // The scheduler is still usable.
   EXPECT_EQ(sched.run([](context& ctx) { return fib(ctx, 15); }), serial_fib(15));
 }

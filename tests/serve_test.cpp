@@ -120,7 +120,7 @@ TEST(RuntimeSet, InstancesRunIndependentlyAndKeepTheirOwnStats) {
   }
 }
 
-#if CILKPP_PEDIGREE_ENABLED && CILKPP_STRESS_ENABLED
+#if CILKPP_STRESS_ENABLED
 
 // --- Schedule independence under multi-tenancy: the ISSUE's isolation
 // criterion. Each runtime runs a chaos-perturbed stress program WHILE the
@@ -192,7 +192,7 @@ TEST(MultiTenantIsolation, ChaosStressedConcurrentRunsMatchSoloFingerprints) {
   EXPECT_TRUE(set.verify_isolation().isolated);
 }
 
-#endif  // CILKPP_PEDIGREE_ENABLED && CILKPP_STRESS_ENABLED
+#endif  // CILKPP_STRESS_ENABLED
 
 // --- job_server admission semantics ----------------------------------------
 

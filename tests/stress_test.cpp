@@ -7,6 +7,7 @@
 // under 8 rotated chaos seeds — every oracle checked on every case.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <list>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "alloc/slab.hpp"
 #include "graph/bc.hpp"
 #include "graph/generate.hpp"
 #include "graph/pagerank.hpp"
@@ -168,8 +170,6 @@ TEST(Interp, RecorderAndScreenMatchElision) {
   }
 }
 
-#if CILKPP_PEDIGREE_ENABLED
-
 // --- Schedule independence: strand identity is a pure function of program
 // structure, so every pedigree-keyed output — the DPRNG stream, the run
 // checksum — must be bit-identical whichever schedule executed it. ---
@@ -261,10 +261,6 @@ TEST(Oracle, FailureReportCarriesReplayPedigree) {
   EXPECT_EQ(f.describe().find("REPLAY"), std::string::npos);
 }
 
-#endif  // CILKPP_PEDIGREE_ENABLED
-
-#if CILKPP_LINT_ENABLED
-
 // --- Planted ill-disciplined programs: the lint differential oracle's
 // positive controls. Screen engines only (program.planted — a real ABBA
 // can genuinely deadlock the threaded runtime). ---
@@ -307,8 +303,6 @@ TEST(PlantedPrograms, LintVerdictsUnderSpBags) {
 TEST(PlantedPrograms, LintVerdictsUnderSpOrder) {
   check_planted_programs<screen::order_detector>();
 }
-
-#endif  // CILKPP_LINT_ENABLED
 
 // --- Chaos policy. ---
 
@@ -386,6 +380,33 @@ TEST(Oracle, SingleCaseRunsCleanUnderAdversarialChaos) {
   h.run_case(stress_case{424242, 3, 4, 16}, rep);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(rep.threaded_runs, 1u);
+}
+
+TEST(Oracle, SlabLeakCheckCatchesOnePlantedBlock) {
+  // The run_case leak scope around a P = 4 run of 200 boxed spawns, pushed
+  // three to a sync: balanced as the runtime leaves it, and one block off
+  // when a single child takes a slab block it does not free before its
+  // join.
+  rt::scheduler sched(4);
+  const std::array<std::uint64_t, 16> payload{};
+  void* planted = nullptr;
+  const auto run = [&](bool plant) {
+    sched.run([&](rt::context& ctx) {
+      for (int i = 0; i < 200; ++i) {
+        ctx.spawn([&, payload, i](rt::context&) {
+          if (plant && i == 100) planted = alloc::slab_allocate(64);
+          (void)payload;
+        });
+        if (i % 3 == 2) ctx.sync();
+      }
+    });
+  };
+  EXPECT_EQ(slab_blocks_left_live([&] { run(false); }), 0);
+  EXPECT_EQ(slab_blocks_left_live([&] { run(true); },
+                                  std::chrono::milliseconds(20)),
+            1);
+  ASSERT_NE(planted, nullptr);
+  alloc::slab_deallocate(planted, 64);
 }
 
 TEST(Oracle, FingerprintIsDeterministicAcrossHarnesses) {
