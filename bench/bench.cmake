@@ -35,8 +35,7 @@ cilkpp_add_bench(bench_graph cilkpp_graph cilkpp_runtime cilkpp_dag cilkpp_sim c
 cilkpp_add_bench(bench_ablation_policy cilkpp_dag cilkpp_sim)
 cilkpp_add_bench(bench_ablation_grain cilkpp_dag cilkpp_sim cilkpp_workloads)
 cilkpp_add_bench(bench_ablation_burden cilkpp_dag cilkpp_sim cilkpp_cilkview cilkpp_workloads)
-cilkpp_add_bench(bench_trace_overhead cilkpp_trace cilkpp_workloads benchmark::benchmark)
-cilkpp_add_bench(bench_stress_overhead cilkpp_stress cilkpp_workloads benchmark::benchmark)
+cilkpp_add_bench(bench_hook_overhead cilkpp_trace cilkpp_stress cilkpp_workloads benchmark::benchmark)
 cilkpp_add_bench(bench_lint_overhead cilkpp_lint cilkpp_runtime)
 cilkpp_add_bench(bench_memlens_overhead cilkpp_memlens cilkpp_cilkscreen cilkpp_support)
 cilkpp_add_bench(stress_fuzz cilkpp_stress)

@@ -49,12 +49,6 @@ int main(int argc, char** argv) {
   trace::steal_interval_table(t).print(std::cout);
   std::cout << '\n';
 
-  if (!trace::session::compiled_in) {
-    std::cout << "tracing is compiled out (CILKPP_TRACE=OFF); nothing to "
-                 "export or replay\n";
-    return 0;
-  }
-
   {
     std::ofstream os(json_path);
     trace::write_chrome_trace(os, t);

@@ -81,22 +81,27 @@ std::exception_ptr context::fold_delivered() {
   return first_exception;
 }
 
+template <bool Observed>
 void context::finish_called() {
-  sync();  // implicit sync; rethrows child exceptions to the caller
+  bump_rank();  // the implicit sync, like an explicit one
+  std::exception_ptr child_exception = sync_bracket<Observed>(/*implicit=*/false);
   view_map final_views = take_final_views();
-  finished_ = true;
-  if (final_views.empty()) return;
-  // Owner-only: a called frame runs synchronously on the strand executing
-  // the parent, so appending to the parent's arena here is the same
-  // single-strand append as the parent's own spawns. The parent's outstanding
-  // children (if any) write only their own slots' contents, never the
-  // arena structure.
-  // Caller updates so far are serially before the callee's: fold left.
-  fold_view_maps(parent_->current_segment(), std::move(final_views));
+  end_frame<Observed>();
+  if (!final_views.empty()) {
+    // Owner-only: a called frame runs synchronously on the strand executing
+    // the parent, so appending to the parent's arena here is the same
+    // single-strand append as the parent's own spawns. The parent's
+    // outstanding children (if any) write only their own slots' contents,
+    // never the arena structure.
+    // Caller updates so far are serially before the callee's: fold left.
+    fold_view_maps(parent_->current_segment(), std::move(final_views));
+  }
+  if (child_exception) std::rethrow_exception(child_exception);
 }
 
+template <bool Observed>
 void context::finish_called_abandoned() noexcept {
-  wait_children();
+  wait_children<Observed>();
   try {
     (void)fold_slots();  // child exceptions are superseded by the body's
     view_map final_views = take_final_views();
@@ -107,13 +112,13 @@ void context::finish_called_abandoned() noexcept {
     // A throwing reduce while the body's exception unwinds: the views it
     // had not folded are dropped, and the body's exception still wins.
   }
-  finished_ = true;
+  end_frame<Observed>();
 }
 
+template <bool Observed>
 void context::finish_root() {
-  sync();
+  sync_impl<Observed>();
   view_map final_views = take_final_views();
-  finished_ = true;
   for (view_map::entry& e : final_views) {
     // Null the entry before absorb_final runs: absorb_final calls the
     // user's reduce, which may throw, and final_views' destructor would
@@ -123,17 +128,14 @@ void context::finish_root() {
     e.hyper->absorb_final(std::move(view));
   }
   final_views.detach_all();
+  end_frame<Observed>();
 }
 
+template <bool Observed>
 void context::finish_root_abandoned() noexcept {
-  trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
-  wait_children();
-  (void)fold_slots();  // child exceptions are superseded by the body's
-  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  // child exceptions are superseded by the body's
+  (void)sync_bracket<Observed>(/*implicit=*/true);
   view_map final_views = take_final_views();
-  finished_ = true;
   for (view_map::entry& e : final_views) {
     std::unique_ptr<view_base> view(e.view);
     e.view = nullptr;  // sole owner is now `view`; no double free on throw
@@ -144,7 +146,18 @@ void context::finish_root_abandoned() noexcept {
     }
   }
   final_views.detach_all();
+  end_frame<Observed>();
 }
+
+// The epilogues of both instantiations (scheduler.hpp: context).
+template void context::finish_called<false>();
+template void context::finish_called<true>();
+template void context::finish_called_abandoned<false>() noexcept;
+template void context::finish_called_abandoned<true>() noexcept;
+template void context::finish_root<false>();
+template void context::finish_root<true>();
+template void context::finish_root_abandoned<false>() noexcept;
+template void context::finish_root_abandoned<true>() noexcept;
 
 std::unique_ptr<view_base> context::extract_view(hyperobject_base& h) {
   CILKPP_ASSERT(all_joined(),

@@ -220,14 +220,12 @@ bool scheduler::steal_and_execute(worker& w) {
   for (std::size_t i = 0; i < rounds; ++i) {
     chaos_perturb(&w, chaos_point::steal_attempt);
     std::size_t victim = n;
-#if CILKPP_STRESS_ENABLED
     // Chaos may skew victim selection (always-victim-0, round-robin, …);
     // out-of-range or self answers keep the default choice.
     if (chaos_policy* c = w.chaos.load(std::memory_order_acquire)) {
       const std::size_t v = c->pick_victim(w.id, n);
       if (v < n && v != w.id) victim = v;
     }
-#endif
     if (victim == n) {
       if (i < w.probe_order.size()) {
         victim = w.probe_order[i];  // near-first sweep
@@ -267,16 +265,12 @@ void scheduler::wake_one() {
 }
 
 worker_stats scheduler::stats() const {
-  CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
-                "stats() while a run is in flight; snapshots require quiescence");
   worker_stats total;
   for (const auto& w : workers_) total.merge(w->snapshot_stats());
   return total;
 }
 
 std::vector<worker_stats> scheduler::per_worker_stats() const {
-  CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
-                "per_worker_stats() while a run is in flight");
   std::vector<worker_stats> result;
   result.reserve(workers_.size());
   for (const auto& w : workers_) result.push_back(w->snapshot_stats());
@@ -291,7 +285,6 @@ void scheduler::reset_stats() {
 }
 
 void scheduler::install_trace(const std::vector<trace::event_ring*>& rings) {
-#if CILKPP_TRACE_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "install_trace while a run is in flight");
   CILKPP_ASSERT(rings.size() == workers_.size(),
@@ -303,20 +296,17 @@ void scheduler::install_trace(const std::vector<trace::event_ring*>& rings) {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     workers_[i]->trace_ring.store(rings[i], std::memory_order_release);
   }
-#else
-  (void)rings;
-#endif
 }
 
 void scheduler::remove_trace() {
-#if CILKPP_TRACE_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "remove_trace while a run is in flight");
   // With no run in flight no worker can be mid-record, so clearing the
   // pointers is sufficient. Why: every record a worker issues while
   // executing a child completes before that child's join is counted in
   // its parent (finish_spawned and run_leaf record frame_end last, before
-  // the join), and the steal record completes while the stolen child is
+  // the join, in the observed instantiation every pushed child of a traced
+  // run carries), and the steal record completes while the stolen child is
   // still unjoined. A join is ordered before the parent's sync passes —
   // by program order when the child ran on the parent's own worker, by the
   // release increment of joins_.joined_stolen and the parent's acquire load
@@ -327,24 +317,18 @@ void scheduler::remove_trace() {
   for (auto& w : workers_) {
     w->trace_ring.store(nullptr, std::memory_order_release);
   }
-#endif
 }
 
 void scheduler::install_chaos(chaos_policy* policy) {
-#if CILKPP_STRESS_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "install_chaos while a run is in flight");
   CILKPP_ASSERT(policy != nullptr, "install_chaos(nullptr); use remove_chaos");
   for (auto& w : workers_) {
     w->chaos.store(policy, std::memory_order_release);
   }
-#else
-  (void)policy;
-#endif
 }
 
 void scheduler::remove_chaos() {
-#if CILKPP_STRESS_ENABLED
   CILKPP_ASSERT(!run_active_.load(std::memory_order_acquire),
                 "remove_chaos while a run is in flight");
   // Unlike remove_trace, clearing the pointers is NOT enough to free the
@@ -356,7 +340,6 @@ void scheduler::remove_chaos() {
   for (auto& w : workers_) {
     w->chaos.store(nullptr, std::memory_order_release);
   }
-#endif
 }
 
 }  // namespace cilkpp::rt

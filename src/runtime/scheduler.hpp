@@ -57,10 +57,6 @@
 #include "trace/event.hpp"
 #include "trace/ring.hpp"
 
-#ifndef CILKPP_STRESS_ENABLED
-#define CILKPP_STRESS_ENABLED 1
-#endif
-
 namespace cilkpp::rt {
 
 class scheduler;
@@ -80,13 +76,14 @@ enum class chaos_point : std::uint8_t {
   task_run,       ///< a worker is about to execute a dequeued task
 };
 
-/// Schedule-perturbation hook, compiled in under CILKPP_STRESS_ENABLED
-/// (CMake option CILKPP_STRESS, default ON; every call site disappears when
-/// OFF). Installed via scheduler::install_chaos; src/stress/chaos.hpp
-/// provides the seeded implementation. Implementations are called
-/// concurrently from every worker and must not throw; `perturb` may yield
-/// or sleep but must always return (bounded delays only — an unbounded
-/// stall would turn a liveness property into a deadlock).
+/// Schedule-perturbation hook. Installed via scheduler::install_chaos;
+/// src/stress/chaos.hpp provides the seeded implementation. While neither a
+/// policy nor a trace session is attached, spawns, syncs, calls and the
+/// tasks they push run an instantiation with no chaos point in it (see
+/// context). Implementations are called concurrently from every worker and
+/// must not throw; `perturb` may yield or sleep but must always return
+/// (bounded delays only — an unbounded stall would turn a liveness property
+/// into a deadlock).
 class chaos_policy {
  public:
   virtual ~chaos_policy() = default;
@@ -313,55 +310,67 @@ struct worker {
   std::uint64_t base_returns = 0;
   std::uint64_t base_slabs = 0;
   std::uint64_t base_oversize = 0;
-#if CILKPP_STRESS_ENABLED
+  // --- The hook pointers, on a line of their own: the install stores
+  // (another thread) must not invalidate any line the owner writes on the
+  // hot path. A spawn, spawn_leaf, sync, call or root frame loads both once
+  // (observed) to pick its instantiation; the observed instantiation and the
+  // thief paths load them again at each event site.
   /// Installed by scheduler::install_chaos; null when no chaos policy is
-  /// active. Read on every scheduling boundary (one load+branch when idle).
-  /// Own line: the install store (another thread) must not invalidate any
-  /// line the owner writes on the hot path.
+  /// active.
   alignas(cache_line_size) std::atomic<chaos_policy*> chaos{nullptr};
-#endif
-#if CILKPP_TRACE_ENABLED
   /// Installed by trace::session via scheduler::install_trace; null when no
   /// trace is being captured. Only this worker pushes into the ring.
   std::atomic<trace::event_ring*> trace_ring{nullptr};
-#endif
 };
 
-/// Bumps a single-writer statistics counter. Every worker counter below is
-/// written only by its owning worker (snapshot/reset require quiescence), so
-/// a plain load+store is race-free and avoids the lock-prefixed RMW a
-/// fetch_add would put on the spawn/sync hot path.
+/// Bumps a single-writer statistics counter. Every worker counter is written
+/// only by its owning worker (a reset requires quiescence), so a plain
+/// load+store is race-free and avoids the lock-prefixed RMW a fetch_add would
+/// put on the spawn/sync hot path.
 inline void bump_counter(std::atomic<std::uint64_t>& c) {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
-/// Records one trace event on w's ring, if a trace session is attached.
-/// Costs a single load+branch when tracing is idle; compiles to nothing
-/// when tracing is compiled out (CILKPP_TRACE_ENABLED=0).
+/// True when a trace session or a chaos policy is attached to w: the one
+/// test a spawn, spawn_leaf, sync, call or root frame makes before it runs
+/// its observed or its detached instantiation (see context). Both pointers
+/// change only between runs, on every worker at once, so one answer holds
+/// for everything the frame does and every task it pushes.
+[[gnu::always_inline]] inline bool observed(const worker& w) {
+  // Always inlined: inside a function that already inlines spawn, GCC's
+  // growth limits would otherwise leave this a call. Both loads, then one
+  // branch.
+  const bool traced = w.trace_ring.load(std::memory_order_acquire) != nullptr;
+  const bool chaotic = w.chaos.load(std::memory_order_acquire) != nullptr;
+  return traced | chaotic;
+}
+
+/// Calls f() from a function of its own that is never inlined, so that an
+/// observed instantiation stays out of the code of the detached path that
+/// branches to it.
+template <typename F>
+[[gnu::noinline]] decltype(auto) out_of_line(F&& f) {
+  return std::forward<F>(f)();
+}
+
+/// Records one trace event on w's ring, if a trace session is attached. The
+/// observed instantiations call it at each event site (so a chaos policy
+/// alone still costs one load here), as do the thief paths.
 inline void trace_record(worker* w, trace::event_kind kind, std::uint64_t frame,
                          std::uint64_t aux64 = 0, std::uint32_t aux32 = 0,
                          std::uint16_t aux16 = 0) {
-#if CILKPP_TRACE_ENABLED
   if (trace::event_ring* ring = w->trace_ring.load(std::memory_order_acquire)) {
     ring->try_push(trace::event{now_ns(), frame, aux64, aux32, aux16, kind,
                                 static_cast<std::uint16_t>(w->id)});
   }
-#else
-  (void)w; (void)kind; (void)frame; (void)aux64; (void)aux32; (void)aux16;
-#endif
 }
 
-/// Fires one chaos point on w, if a chaos policy is installed. One
-/// load+branch when no policy is active; compiles to nothing when stress
-/// hooks are compiled out (CILKPP_STRESS_ENABLED=0).
+/// Fires one chaos point on w, if a chaos policy is installed. Called by the
+/// observed instantiations at each chaos point, and by the thief paths.
 inline void chaos_perturb(worker* w, chaos_point p) {
-#if CILKPP_STRESS_ENABLED
   if (chaos_policy* c = w->chaos.load(std::memory_order_acquire)) {
     c->perturb(w->id, p);
   }
-#else
-  (void)w; (void)p;
-#endif
 }
 
 /// A Cilk function instance (a "full frame"): owns the children it spawned
@@ -380,7 +389,7 @@ class context {
   /// would, and an exception it throws waits in a child slot until this
   /// frame's next sync (the work-first principle, Sec. 3).
   template <typename Fn>
-  void spawn(Fn&& fn);
+  [[gnu::always_inline]] void spawn(Fn&& fn);
 
   /// Lowering hook for parallel_for's body(i) form: spawns a child strand
   /// that runs `body(i)` for i in [begin, end) WITHOUT constructing a full
@@ -481,8 +490,27 @@ class context {
     std::atomic<bool> child_delivered{false};
   };
 
-  context(scheduler* sched, worker* home, context* parent, frame_slot* parent_slot,
-          kind k, std::uint64_t ped_hash, std::uint64_t birth_rank);
+  // --- Two instantiations of one source. spawn, spawn_leaf, sync and call,
+  // and the root frame in scheduler::run, test the worker's hook pointers
+  // once (observed) and run the members below that take `bool Observed`:
+  // the detached instantiation (false) inline, without one hook load, and
+  // the observed one (true) out of line (out_of_line), firing every trace
+  // event and chaos point at the sites marked `if constexpr (Observed)`, in
+  // the order the frame reaches them. A pushed spawn builds its record the
+  // same way in both and branches only for the count and the push
+  // (spawn_record_in_slot). The choice carries over to everything the entry
+  // point starts: the child frame of a spawn that runs as a call, the
+  // epilogue of a called or root frame, and a pushed child, whose run_fn is
+  // run_spawned<Observed, Record> or run_leaf<Observed, Body, Index>, so
+  // executing it needs no second test. Hooks are attached and detached only
+  // while no run is in flight (DESIGN.md §4.12).
+
+  /// A frame starting on `home`; the observed instantiation records its
+  /// frame_begin.
+  template <bool Observed>
+  context(std::bool_constant<Observed>, scheduler* sched, worker* home,
+          context* parent, frame_slot* parent_slot, kind k,
+          std::uint64_t ped_hash, std::uint64_t birth_rank);
 
   /// Deterministic pedigree chaining: the child born at rank r of a frame
   /// with prefix h gets prefix ped_mix(h, r). Trace uses the hash chain as
@@ -491,11 +519,19 @@ class context {
     return ped::mix(h, r);
   }
 
+  template <bool Observed>
+  void sync_impl();
+  template <bool Observed, typename Fn>
+  auto call_impl(Fn& fn) -> decltype(fn(std::declval<context&>()));
+
   /// Counts one spawn in this frame: the trace's spawn event, the new
   /// strand of the continuation, and the worker's spawn counter.
+  template <bool Observed>
   void count_spawn(std::uint64_t child_ped) {
-    trace_record(home_, trace::event_kind::spawn, ped_hash_, child_ped,
-                 static_cast<std::uint32_t>(rank_));
+    if constexpr (Observed) {
+      trace_record(home_, trace::event_kind::spawn, ped_hash_, child_ped,
+                   static_cast<std::uint32_t>(rank_));
+    }
     bump_rank();  // the continuation after this spawn is a new strand
     bump_counter(home_->spawns);
   }
@@ -503,9 +539,18 @@ class context {
   /// The pushed spawn path shared by spawn and spawn_leaf: builds a Record
   /// in a fresh child slot, counts the child only once its record exists,
   /// and pushes the slot. If the record's construction throws, the slot is
-  /// left pristine and uncounted and the exception propagates.
+  /// left pristine and uncounted and the exception propagates. The record
+  /// is built the same way in both instantiations, with the run_fn of the
+  /// one the hook test picks; only the count and the push differ
+  /// (push_child). So neither instantiation takes the arguments' addresses,
+  /// and a closure's captures go straight into the slot.
   template <typename Record, typename... Args>
-  void spawn_record_in_slot(task::run_fn run, Args&&... args);
+  [[gnu::always_inline]] void spawn_record_in_slot(task::run_fn detached_run,
+                                                   task::run_fn observed_run,
+                                                   Args&&... args);
+  /// Counts a child whose record is in `slot` and pushes the slot.
+  template <bool Observed>
+  void push_child(frame_slot* slot, std::uint64_t child_ped);
 
   /// True when a spawn on a scheduler with P > 1 workers runs its child as
   /// a call: this worker's deque already holds P − 1 tasks. Owner-only; a
@@ -518,22 +563,25 @@ class context {
   /// The spawn path of a child that runs as a call: runs `closure` at once
   /// as a spawned child frame, counted and traced as a spawn and as an
   /// executed task, and keeps what it delivers for this frame's next sync.
-  template <typename Fn>
+  template <bool Observed, typename Fn>
   void spawn_as_call(Fn& closure);
+  /// spawn_leaf's path of a leaf that runs as a call.
+  template <bool Observed, typename Index, typename Body>
+  void spawn_leaf_as_call(Index begin, Index end, const Body& body);
 
   /// task::run_fn of a spawned frame's record (spawn_record, boxed_record).
-  template <typename Record>
+  template <bool Observed, typename Record>
   static void run_spawned(frame_slot& slot, worker& w);
 
   /// task::run_fn of a spawn_leaf record.
-  template <typename Body, typename Index>
+  template <bool Observed, typename Body, typename Index>
   static void run_leaf(frame_slot& slot, worker& w);
 
   /// A spawned leaf frame of this frame, run on w without a context: the
   /// census and depth of a spawned frame, frame_begin, body(i) for i in
   /// [begin, end), and the implicit-sync bracket. Returns the body's
   /// exception; the caller ends the frame (frame_end, then leave_frame).
-  template <typename Body, typename Index>
+  template <bool Observed, typename Body, typename Index>
   std::exception_ptr run_leaf_body(worker& w, std::uint64_t ped,
                                    const Body& body, Index begin,
                                    Index end) const noexcept;
@@ -614,6 +662,7 @@ class context {
   }
 
   /// Helps until all spawned children have joined (never throws).
+  template <bool Observed>
   void wait_children() noexcept;
   /// wait_children's loop, entered only when a child is still outstanding.
   void help_until_joined() noexcept;
@@ -624,19 +673,41 @@ class context {
   /// fold_slots' walk, for a fold that is not the identity.
   std::exception_ptr fold_delivered();
 
+  /// A sync at the frame's current rank: sync_begin, the wait for every
+  /// child, the fold and sync_end. Returns the serially earliest child
+  /// exception.
+  template <bool Observed>
+  std::exception_ptr sync_bracket(bool implicit);
+
+  /// Marks the frame finished and records its frame_end. Every frame ends
+  /// here, in its epilogue, rather than in ~context: a pushed child's
+  /// frame_end must precede its join (finish_spawned).
+  template <bool Observed>
+  void end_frame() noexcept {
+    finished_ = true;
+    if constexpr (Observed) {
+      trace_record(home_, trace::event_kind::frame_end, ped_hash_);
+    }
+  }
+
   /// Spawned-child epilogue, first half: the implicit sync and fold.
   /// Returns the exception the parent must see — the body's, else the
   /// serially earliest child exception. The closure is still alive here:
   /// this frame's own children may refer to it until they joined.
+  template <bool Observed>
   std::exception_ptr sync_spawned(std::exception_ptr body_exception) noexcept;
 
   /// Spawned-child epilogue, second half, once the record is destroyed and
   /// the slot's result fields rebuilt: delivers views and exception into
-  /// the parent slot and signals the join.
+  /// the parent slot, ends the frame and signals the join.
+  template <bool Observed>
   void finish_spawned(std::exception_ptr deliver) noexcept;
 
-  /// Called-frame epilogue: implicit sync (throws), fold into parent's
-  /// current segment.
+  /// Called-frame epilogue: the implicit sync, the fold into the parent's
+  /// current segment and the frame's end. A child's exception from the
+  /// implicit sync is rethrown last, once the frame has ended and its views
+  /// reached the parent, as a spawned child delivers both.
+  template <bool Observed>
   void finish_called();
 
   /// Called-frame epilogue on the exception path: joins children and still
@@ -644,14 +715,17 @@ class context {
   /// segment, as a throwing spawned child delivers them — and as a
   /// one-worker scheduler, whose frames update the root's views directly,
   /// cannot help doing. Child exceptions are superseded by the body's.
+  template <bool Observed>
   void finish_called_abandoned() noexcept;
 
   /// Root epilogue: implicit sync (throws), absorb views into hyperobjects.
+  template <bool Observed>
   void finish_root();
 
   /// Root epilogue on the exception path: joins children and still absorbs
   /// completed strands' reducer views (updates are not silently dropped),
   /// discarding any child exceptions — the body's exception wins.
+  template <bool Observed>
   void finish_root_abandoned() noexcept;
 
   /// Moves this frame's single folded segment out (after fold_slots()).
@@ -781,19 +855,27 @@ class scheduler {
 
   /// Aggregate statistics since construction / last reset.
   ///
-  /// Quiescence requirement: snapshots and resets are unsynchronized with
-  /// the workers' relaxed counter updates, so calling any of these while a
-  /// run() is in flight would tear multi-counter invariants (e.g. a reset
-  /// could split a steal between steals and steals_by_victim). All three
-  /// assert that no run is active; call them only between runs.
+  /// stats() and per_worker_stats() may be called from any thread, also
+  /// while a run() is in flight. Every counter is a relaxed atomic with one
+  /// writer, so a mid-run snapshot reads each counter at some recent value,
+  /// and no counter goes down from one snapshot to the next taken by the
+  /// same thread. Invariants that relate two counters hold only once the run
+  /// is quiescent (run() has returned): spawns == tasks_executed (a child is
+  /// counted at its spawn and again when it runs) and steals ==
+  /// Σ steals_by_victim (a thief bumps one, then the other).
+  ///
+  /// reset_stats() asserts that no run is in flight: a reset racing a
+  /// worker's updates would tear those invariants. It must not overlap a
+  /// snapshot either, since it rebases the allocator baselines.
   worker_stats stats() const;
   std::vector<worker_stats> per_worker_stats() const;
   void reset_stats();
 
   /// Trace hooks (src/trace): installs one event ring per worker (rings
   /// must outlive the capture; rings.size() == num_workers()). May only be
-  /// called while no run() is in flight. No-ops when tracing is compiled
-  /// out; use trace::session rather than calling these directly.
+  /// called while no run() is in flight, so a run sees the same rings from
+  /// its first spawn to its end. Use trace::session rather than calling
+  /// these directly.
   void install_trace(const std::vector<trace::event_ring*>& rings);
   void remove_trace();
 
@@ -801,9 +883,10 @@ class scheduler {
   /// every worker / removes it. May only be called while no run() is in
   /// flight. The policy must stay valid until the scheduler is destroyed
   /// or a later run() completes: remove_chaos only stops *new* decisions —
-  /// a worker that loaded the pointer during the previous run's tail may
-  /// still be completing one last perturbation call. No-ops when stress
-  /// hooks are compiled out (CILKPP_STRESS=OFF).
+  /// an idle worker that loaded the pointer in a steal attempt during the
+  /// previous run's tail may still be completing one last perturbation call.
+  /// A trace session and a chaos policy may be attached together; each
+  /// fires exactly what it fires alone.
   void install_chaos(chaos_policy* policy);
   void remove_chaos();
 
@@ -821,7 +904,11 @@ class scheduler {
   /// Runs the child whose record `child` holds, on w.
   void execute(worker& w, frame_slot* child);
   /// Owner-only: pushes a spawned child's slot on w's deque.
+  template <bool Observed>
   void push(worker& w, frame_slot* child);
+  /// run()'s root frame, in the spawning frames' two instantiations.
+  template <bool Observed, typename Fn>
+  auto run_root(Fn& fn) -> decltype(fn(std::declval<context&>()));
   /// Wakes one parked worker (push's slow path).
   void wake_one();
   /// Racy probe: true if any worker's deque looks non-empty. Used by the
@@ -929,8 +1016,11 @@ struct leaf_record final : task {
 };
 
 template <typename Record, typename... Args>
-void context::spawn_record_in_slot(task::run_fn run, Args&&... args) {
+inline void context::spawn_record_in_slot(task::run_fn detached_run,
+                                          task::run_fn observed_run,
+                                          Args&&... args) {
   CILKPP_ASSERT(!finished_, "spawn on a finished frame");
+  const bool hooked = observed(*home_);
   const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
   // Entirely lock-free, and allocation-free unless the record boxes its
   // closure: an owner-only arena append, the record built in the slot,
@@ -939,7 +1029,8 @@ void context::spawn_record_in_slot(task::run_fn run, Args&&... args) {
   slot->close_result();
   try {
     ::new (static_cast<void*>(slot->bytes))
-        Record(task(run, this, child_ped, rank_), std::forward<Args>(args)...);
+        Record(task(hooked ? observed_run : detached_run, this, child_ped, rank_),
+               std::forward<Args>(args)...);
   } catch (...) {
     // The closure's copy threw, so the child never existed: its slot goes
     // back to pristine and stays uncounted (it folds as the identity), and
@@ -947,50 +1038,72 @@ void context::spawn_record_in_slot(task::run_fn run, Args&&... args) {
     slot->open_result();
     throw;
   }
-  count_spawn(child_ped);
-  ++spawned_;
-  sched_->push(*home_, slot);
+  if (hooked) [[unlikely]] {
+    out_of_line([this, slot, child_ped] { push_child<true>(slot, child_ped); });
+  } else {
+    push_child<false>(slot, child_ped);
+  }
 }
 
+template <bool Observed>
+void context::push_child(frame_slot* slot, std::uint64_t child_ped) {
+  count_spawn<Observed>(child_ped);
+  ++spawned_;
+  sched_->push<Observed>(*home_, slot);
+}
+
+// spawn is always inlined into the spawning function, and no branch of it
+// takes fn's address: the copy below and a pushed record are then built
+// straight from the captures of a closure passed as a temporary. Stored by
+// the caller and read back through a reference by a wider copy, the
+// closure stalled store-to-load forwarding on every spawn, which cost fib
+// about a tenth of its time at P = 1 (EXPERIMENTS E19).
 template <typename Fn>
-void context::spawn(Fn&& fn) {
+inline void context::spawn(Fn&& fn) {
   using closure = std::decay_t<Fn>;
-  // The immutable solo test stays first and alone: a one-worker spawn
-  // never reads the deque.
+  // The immutable solo test comes first: a one-worker spawn never reads
+  // the deque.
   if (home_->solo || deque_full()) {
     // The child runs on a copy of fn, as a pushed spawn's record holds
     // one: a throwing copy throws from here, before the child is counted.
+    // The copy is made before the hook test, so only the copy's address
+    // reaches the observed instantiation.
     closure copy(std::forward<Fn>(fn));
-    spawn_as_call(copy);
+    if (observed(*home_)) [[unlikely]] {
+      out_of_line([&] { spawn_as_call<true>(copy); });
+    } else {
+      spawn_as_call<false>(copy);
+    }
     return;
   }
   using record = std::conditional_t<spawns_in_slot<closure>,
                                     spawn_record<closure>, boxed_record<closure>>;
-  spawn_record_in_slot<record>(&run_spawned<record>, std::forward<Fn>(fn));
+  spawn_record_in_slot<record>(&run_spawned<false, record>,
+                               &run_spawned<true, record>, std::forward<Fn>(fn));
 }
 
-template <typename Fn>
+template <bool Observed, typename Fn>
 void context::spawn_as_call(Fn& closure) {
   CILKPP_ASSERT(!finished_, "spawn on a finished frame");
   const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
   const std::uint64_t child_birth = rank_;
-  count_spawn(child_ped);
+  count_spawn<Observed>(child_ped);
   bump_counter(home_->tasks_executed);
   // The child is a spawned frame in every observable way — pedigree, depth,
   // census, trace — but it needs no slot unless it delivers something: it
   // joins before the continuation starts, and on a one-worker scheduler it
   // shares the root's reducer views.
-  context child(sched_, home_, this, /*parent_slot=*/nullptr, kind::spawned,
-                child_ped, child_birth);
+  context child(std::bool_constant<Observed>{}, sched_, home_, this,
+                /*parent_slot=*/nullptr, kind::spawned, child_ped, child_birth);
   std::exception_ptr body_exception;
   try {
     closure(child);
   } catch (...) {
     body_exception = std::current_exception();
   }
-  std::exception_ptr deliver = child.sync_spawned(std::move(body_exception));
-  child.finished_ = true;
-  trace_record(home_, trace::event_kind::frame_end, child.ped_hash_);
+  std::exception_ptr deliver =
+      child.sync_spawned<Observed>(std::move(body_exception));
+  child.end_frame<Observed>();
   // On a one-worker scheduler only a holder's views can be left: a
   // reducer's went to the root's.
   if (deliver || child.joins_built_) {
@@ -1003,54 +1116,73 @@ void context::spawn_as_call(Fn& closure) {
 template <typename Index, typename Body>
 void context::spawn_leaf(Index begin, Index end, const Body& body) {
   if (home_->solo || deque_full()) {
-    CILKPP_ASSERT(!finished_, "spawn on a finished frame");
-    const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
-    count_spawn(child_ped);
-    bump_counter(home_->tasks_executed);
-    std::exception_ptr ex = run_leaf_body(*home_, child_ped, body, begin, end);
-    trace_record(home_, trace::event_kind::frame_end, child_ped);
-    leave_frame(*home_);
-    if (ex) {
-      keep_inline_child({}, std::move(ex));
+    if (observed(*home_)) [[unlikely]] {
+      out_of_line([this, begin, end, &body] {
+        spawn_leaf_as_call<true>(begin, end, body);
+      });
     } else {
-      seal_strand();
+      spawn_leaf_as_call<false>(begin, end, body);
     }
     return;
   }
   using record = leaf_record<Body, Index>;
   static_assert(fits_in_slot<record>, "a spawn_leaf record fits in its slot");
-  spawn_record_in_slot<record>(&run_leaf<Body, Index>, &body, begin, end);
+  spawn_record_in_slot<record>(&run_leaf<false, Body, Index>,
+                               &run_leaf<true, Body, Index>, &body, begin, end);
 }
 
-template <typename Record>
+template <bool Observed, typename Index, typename Body>
+void context::spawn_leaf_as_call(Index begin, Index end, const Body& body) {
+  CILKPP_ASSERT(!finished_, "spawn on a finished frame");
+  const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
+  count_spawn<Observed>(child_ped);
+  bump_counter(home_->tasks_executed);
+  std::exception_ptr ex =
+      run_leaf_body<Observed>(*home_, child_ped, body, begin, end);
+  if constexpr (Observed) {
+    trace_record(home_, trace::event_kind::frame_end, child_ped);
+  }
+  leave_frame(*home_);
+  if (ex) {
+    keep_inline_child({}, std::move(ex));
+  } else {
+    seal_strand();
+  }
+}
+
+template <bool Observed, typename Record>
 void context::run_spawned(frame_slot& slot, worker& w) {
+  if constexpr (Observed) chaos_perturb(&w, chaos_point::task_run);
   Record& rec = slot.record<Record>();
   context* parent = rec.parent_frame;
-  context child(parent->sched_, &w, parent, &slot, kind::spawned,
-                rec.child_ped_hash, rec.child_birth_rank);
+  context child(std::bool_constant<Observed>{}, parent->sched_, &w, parent,
+                &slot, kind::spawned, rec.child_ped_hash, rec.child_birth_rank);
   std::exception_ptr body_exception;
   try {
     rec.closure()(child);
   } catch (...) {
     body_exception = std::current_exception();
   }
-  std::exception_ptr deliver = child.sync_spawned(std::move(body_exception));
+  std::exception_ptr deliver =
+      child.sync_spawned<Observed>(std::move(body_exception));
   // The closure outlived the implicit sync, as a function's arguments do;
   // now its bytes become the slot's result fields again.
   std::destroy_at(&rec);
   slot.open_result();
-  child.finish_spawned(std::move(deliver));
+  child.finish_spawned<Observed>(std::move(deliver));
 }
 
-template <typename Body, typename Index>
+template <bool Observed, typename Body, typename Index>
 std::exception_ptr context::run_leaf_body(worker& w, std::uint64_t ped,
                                           const Body& body, Index begin,
                                           Index end) const noexcept {
   const std::uint64_t depth = depth_ + 1;
   enter_frame(w, depth);
-  trace_record(&w, trace::event_kind::frame_begin, ped, ped_hash_,
-               static_cast<std::uint32_t>(depth),
-               static_cast<std::uint16_t>(kind::spawned));
+  if constexpr (Observed) {
+    trace_record(&w, trace::event_kind::frame_begin, ped, ped_hash_,
+                 static_cast<std::uint32_t>(depth),
+                 static_cast<std::uint16_t>(kind::spawned));
+  }
   std::exception_ptr body_exception;
   try {
     for (Index i = begin; i < end; ++i) body(i);
@@ -1059,8 +1191,10 @@ std::exception_ptr context::run_leaf_body(worker& w, std::uint64_t ped,
   }
   // Implicit sync of a frame with no children: rank stays 0, nothing to
   // wait for, nothing to fold.
-  trace_record(&w, trace::event_kind::sync_begin, ped, 0, 0, 1);
-  trace_record(&w, trace::event_kind::sync_end, ped, 0, 0, 1);
+  if constexpr (Observed) {
+    trace_record(&w, trace::event_kind::sync_begin, ped, 0, 0, 1);
+    trace_record(&w, trace::event_kind::sync_end, ped, 0, 0, 1);
+  }
   return body_exception;
 }
 
@@ -1072,16 +1206,17 @@ std::exception_ptr context::run_leaf_body(worker& w, std::uint64_t ped,
 /// join that lets the parent's sync pass (the trace-teardown ordering
 /// finish_spawned documents), and the census decrement last (where the
 /// context destructor would run) — without materializing a context.
-template <typename Body, typename Index>
+template <bool Observed, typename Body, typename Index>
 void context::run_leaf(frame_slot& slot, worker& w) {
   static_assert(std::is_trivially_destructible_v<leaf_record<Body, Index>>);
+  if constexpr (Observed) chaos_perturb(&w, chaos_point::task_run);
   const leaf_record<Body, Index>& rec = slot.record<leaf_record<Body, Index>>();
   context* parent = rec.parent_frame;
   const std::uint64_t ped = rec.child_ped_hash;
   // The body lives outside the slot; the range is copied before the
   // record's bytes are reused.
   std::exception_ptr body_exception =
-      parent->run_leaf_body(w, ped, *rec.body, rec.begin, rec.end);
+      parent->run_leaf_body<Observed>(w, ped, *rec.body, rec.begin, rec.end);
   // The record is trivially destructible: rebuilding the result fields
   // over it is all its destruction takes.
   slot.open_result();
@@ -1090,7 +1225,7 @@ void context::run_leaf(frame_slot& slot, worker& w) {
     slot.exception() = std::move(body_exception);
     parent->joins_.child_delivered.store(true, std::memory_order_relaxed);
   }
-  trace_record(&w, trace::event_kind::frame_end, ped);
+  if constexpr (Observed) trace_record(&w, trace::event_kind::frame_end, ped);
   parent->join_child(w);
   leave_frame(w);
 }
@@ -1118,9 +1253,10 @@ inline void context::leave_frame(worker& w) noexcept {
   w.live_frames.store(prior - 1, std::memory_order_relaxed);
 }
 
-inline context::context(scheduler* sched, worker* home, context* parent,
-                        frame_slot* parent_slot, kind k, std::uint64_t ped_hash,
-                        std::uint64_t birth_rank)
+template <bool Observed>
+inline context::context(std::bool_constant<Observed>, scheduler* sched,
+                        worker* home, context* parent, frame_slot* parent_slot,
+                        kind k, std::uint64_t ped_hash, std::uint64_t birth_rank)
     : sched_(sched),
       home_(home),
       parent_(parent),
@@ -1132,39 +1268,43 @@ inline context::context(scheduler* sched, worker* home, context* parent,
   CILKPP_ASSERT(home_ != nullptr, "context created off a worker");
   // ctor and dtor both run on the home worker.
   enter_frame(*home_, depth_);
-  trace_record(home_, trace::event_kind::frame_begin, ped_hash_,
-               parent_ == nullptr ? 0 : parent_->ped_hash_,
-               static_cast<std::uint32_t>(depth_),
-               static_cast<std::uint16_t>(kind_));
+  if constexpr (Observed) {
+    trace_record(home_, trace::event_kind::frame_begin, ped_hash_,
+                 parent_ == nullptr ? 0 : parent_->ped_hash_,
+                 static_cast<std::uint32_t>(depth_),
+                 static_cast<std::uint16_t>(kind_));
+  }
 }
 
 inline context::~context() {
   CILKPP_ASSERT(finished_, "context destroyed before its epilogue ran");
   // The destructor runs on the home worker for every frame kind (child
-  // stealing never migrates a frame), so begin/end pairs nest per worker.
-  //
-  // Spawned frames record frame_end before this destructor (finish_spawned,
-  // spawn_as_call): for a pushed child it runs *after* the frame's join was
-  // counted in its parent, so the root sync could already have passed and
-  // trace teardown (session::assemble → scheduler::remove_trace + ring
-  // drain) could race a record issued here. Root and called frames are
-  // destroyed strictly inside run() on the thread that will later tear the
-  // trace down, so recording here is safe for them.
-  if (kind_ != kind::spawned) {
-    trace_record(home_, trace::event_kind::frame_end, ped_hash_);
-  }
+  // stealing never migrates a frame). The frame's epilogue recorded its
+  // frame_end (end_frame), so begin/end pairs nest per worker.
   leave_frame(*home_);
   if (joins_built_) std::destroy_at(&joins_);
 }
 
+template <bool Observed>
+inline std::exception_ptr context::sync_bracket(bool implicit) {
+  if constexpr (Observed) {
+    trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
+                 static_cast<std::uint32_t>(rank_), implicit ? 1 : 0);
+  }
+  wait_children<Observed>();
+  std::exception_ptr child_exception = fold_slots();
+  if constexpr (Observed) {
+    trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
+                 static_cast<std::uint32_t>(rank_), implicit ? 1 : 0);
+  }
+  return child_exception;
+}
+
+template <bool Observed>
 inline std::exception_ptr context::sync_spawned(
     std::exception_ptr body_exception) noexcept {
-  trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
-  wait_children();  // implicit sync before a Cilk function returns
-  std::exception_ptr child_exception = fold_slots();
-  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_), /*implicit=*/1);
+  // The implicit sync before a Cilk function returns.
+  std::exception_ptr child_exception = sync_bracket<Observed>(/*implicit=*/true);
   // The body's exception unwound past the implicit sync, so in serial
   // execution it is what the parent would see; fall back to the serially
   // earliest child exception otherwise.
@@ -1181,6 +1321,7 @@ inline view_map context::take_final_views() {
   return result;
 }
 
+template <bool Observed>
 inline void context::finish_spawned(std::exception_ptr deliver) noexcept {
   view_map final_views = take_final_views();
 
@@ -1199,22 +1340,22 @@ inline void context::finish_spawned(std::exception_ptr deliver) noexcept {
     // the join below publishes this store too.
     parent_->joins_.child_delivered.store(true, std::memory_order_relaxed);
   }
-  finished_ = true;
   // frame_end must be recorded *before* the parent learns this child is
   // done: the join below may let the enclosing syncs — up to the root —
   // complete, after which run() returns and the trace session may detach
   // and drain the rings. Any record after this point would race that
   // teardown (lost events at best, a push into a freed ring at worst).
-  trace_record(home_, trace::event_kind::frame_end, ped_hash_);
+  end_frame<Observed>();
   // The last touch of the parent and the slot: once counted, the parent's
   // sync may pass, fold this slot and reuse it.
   parent_->join_child(*home_);
 }
 
+template <bool Observed>
 inline void context::wait_children() noexcept {
-  chaos_perturb(home_, chaos_point::sync_enter);
+  if constexpr (Observed) chaos_perturb(home_, chaos_point::sync_enter);
   if (!all_joined()) help_until_joined();
-  chaos_perturb(home_, chaos_point::sync_exit);
+  if constexpr (Observed) chaos_perturb(home_, chaos_point::sync_exit);
 }
 
 inline std::exception_ptr context::fold_slots() {
@@ -1244,34 +1385,38 @@ inline std::exception_ptr context::fold_slots() {
 }
 
 inline void context::sync() {
+  if (observed(*home_)) [[unlikely]] {
+    out_of_line([this] { sync_impl<true>(); });
+  } else {
+    sync_impl<false>();
+  }
+}
+
+template <bool Observed>
+inline void context::sync_impl() {
   CILKPP_ASSERT(!finished_, "sync on a finished frame");
   bump_rank();  // the strand after the sync is new
-  trace_record(home_, trace::event_kind::sync_begin, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_));
-  wait_children();
-  std::exception_ptr ex = fold_slots();
-  trace_record(home_, trace::event_kind::sync_end, ped_hash_, 0,
-               static_cast<std::uint32_t>(rank_));
-  if (ex) std::rethrow_exception(ex);
+  if (std::exception_ptr ex = sync_bracket<Observed>(/*implicit=*/false)) {
+    std::rethrow_exception(ex);
+  }
 }
 
 inline void scheduler::execute(worker& w, frame_slot* child) {
   bump_counter(w.tasks_executed);  // w is the executing worker: single writer
-  chaos_perturb(&w, chaos_point::task_run);
   // The record consumes itself: it is destroyed before the child's join is
-  // counted, so nothing here may touch the slot afterwards.
+  // counted, so nothing here may touch the slot afterwards. Its run_fn is
+  // the spawning frame's instantiation; the observed one fires the task_run
+  // chaos point first.
   child->record<task>().run(*child, w);
 }
 
 inline bool scheduler::help_one(worker& w) {
-#if CILKPP_STRESS_ENABLED
   // Force-steal-everything: under chaos, a worker may be told to serve
   // another deque before its own, maximizing task migration. A failed
   // forced steal falls through to the normal path, so progress is kept.
   if (chaos_policy* c = w.chaos.load(std::memory_order_acquire)) {
     if (c->prefer_steal(w.id) && steal_and_execute(w)) return true;
   }
-#endif
   chaos_perturb(&w, chaos_point::pop_bottom);
   if (const std::optional<frame_slot*> t = w.deque.pop_bottom()) {
     execute(w, *t);
@@ -1280,6 +1425,7 @@ inline bool scheduler::help_one(worker& w) {
   return steal_and_execute(w);
 }
 
+template <bool Observed>
 inline void scheduler::push(worker& w, frame_slot* child) {
   w.deque.push_bottom(child);
   // Owner-only peak tracking: push_bottom runs on w's thread, so the
@@ -1288,7 +1434,7 @@ inline void scheduler::push(worker& w, frame_slot* child) {
   if (depth > w.peak_deque.load(std::memory_order_relaxed)) {
     w.peak_deque.store(depth, std::memory_order_relaxed);
   }
-  chaos_perturb(&w, chaos_point::spawn_push);
+  if constexpr (Observed) chaos_perturb(&w, chaos_point::spawn_push);
   // Wake half of the register→recheck→wait protocol (see worker_main).
   // The fence orders the deque push before the idlers_ load — the
   // Dekker-style edge that guarantees a parker either sees the task or is
@@ -1299,30 +1445,39 @@ inline void scheduler::push(worker& w, frame_slot* child) {
 
 template <typename Fn>
 auto context::call(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
+  if (observed(*home_)) [[unlikely]] {
+    return out_of_line([&]() -> decltype(auto) { return call_impl<true>(fn); });
+  }
+  return call_impl<false>(fn);
+}
+
+template <bool Observed, typename Fn>
+auto context::call_impl(Fn& fn) -> decltype(fn(std::declval<context&>())) {
   const std::uint64_t child_ped = ped_mix(ped_hash_, rank_);
   const std::uint64_t child_birth = rank_;
   bump_rank();  // the continuation after the call is a new strand
-  context child(sched_, home_, this, /*parent_slot=*/nullptr, kind::called,
-                child_ped, child_birth);
+  context child(std::bool_constant<Observed>{}, sched_, home_, this,
+                /*parent_slot=*/nullptr, kind::called, child_ped, child_birth);
   using result = decltype(fn(child));
   if constexpr (std::is_void_v<result>) {
     try {
       fn(child);
     } catch (...) {
-      child.finish_called_abandoned();  // children must not outlive the frame
+      // children must not outlive the frame
+      child.finish_called_abandoned<Observed>();
       throw;
     }
-    child.finish_called();
+    child.finish_called<Observed>();
   } else {
     result r = [&] {
       try {
         return fn(child);
       } catch (...) {
-        child.finish_called_abandoned();
+        child.finish_called_abandoned<Observed>();
         throw;
       }
     }();
-    child.finish_called();
+    child.finish_called<Observed>();
     return r;
   }
 }
@@ -1336,9 +1491,15 @@ auto scheduler::run(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
                 "run() may not be called from a worker thread");
   set_current_worker(workers_[0].get());
   workers_[0]->attach_alloc_counters();
+  if (observed(*workers_[0])) return run_root<true>(fn);
+  return run_root<false>(fn);
+}
 
-  context root(this, workers_[0].get(), nullptr, nullptr, context::kind::root,
-               /*ped_hash=*/ped::root_seed, /*birth_rank=*/0);
+template <bool Observed, typename Fn>
+auto scheduler::run_root(Fn& fn) -> decltype(fn(std::declval<context&>())) {
+  context root(std::bool_constant<Observed>{}, this, workers_[0].get(), nullptr,
+               nullptr, context::kind::root, /*ped_hash=*/ped::root_seed,
+               /*birth_rank=*/0);
   root_ = &root;
   auto cleanup = [&]() {
     root_ = nullptr;
@@ -1350,16 +1511,16 @@ auto scheduler::run(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
   try {
     if constexpr (std::is_void_v<result>) {
       fn(root);
-      root.finish_root();
+      root.finish_root<Observed>();
       cleanup();
     } else {
       result r = fn(root);
-      root.finish_root();
+      root.finish_root<Observed>();
       cleanup();
       return r;
     }
   } catch (...) {
-    root.finish_root_abandoned();
+    root.finish_root_abandoned<Observed>();
     cleanup();
     throw;
   }

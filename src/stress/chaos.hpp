@@ -5,13 +5,13 @@
 // (Sec. 5) — are properties of *every* schedule, but a threaded runtime on
 // CI hardware only ever sees the handful of schedules its machine happens
 // to produce. seeded_chaos plugs into the rt::chaos_policy hook
-// (scheduler.hpp, compiled in under CILKPP_STRESS) and widens that set:
-// it injects yields and microsecond sleeps at spawn/steal/sync boundaries,
-// skews victim selection, forces workers to steal when they have local
-// work, and starves chosen workers with extra delays — every decision
-// drawn from per-worker xoshiro256 streams derived from ONE seed, so a
-// failing schedule's perturbation pattern is regenerated exactly from the
-// seed printed in the failure report.
+// (scheduler.hpp; always compiled in, and free while detached) and widens
+// that set: it injects yields and microsecond sleeps at spawn/steal/sync
+// boundaries, skews victim selection, forces workers to steal when they
+// have local work, and starves chosen workers with extra delays — every
+// decision drawn from per-worker xoshiro256 streams derived from ONE seed,
+// so a failing schedule's perturbation pattern is regenerated exactly from
+// the seed printed in the failure report.
 #pragma once
 
 #include <atomic>
@@ -27,7 +27,8 @@ namespace cilkpp::stress {
 
 /// Perturbation intensities. Chances are per chaos point, in 1/65536 units
 /// (one rng draw, one compare on the hot path). The default is the null
-/// policy: install it to measure pure hook overhead.
+/// policy: install it to measure the observed instantiation's overhead
+/// (every chaos point reached, none acting).
 struct chaos_params {
   std::uint32_t yield_chance = 0;         ///< std::this_thread::yield()
   std::uint32_t sleep_chance = 0;         ///< 1–20 µs nap

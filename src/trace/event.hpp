@@ -11,15 +11,13 @@
 // astronomically unlikely (birthday bound on 2^64) and merely degrade one
 // timeline, never the traced program.
 //
-// Tracing compiles out entirely with -DCILKPP_TRACE_ENABLED=0 (CMake option
-// CILKPP_TRACE=OFF): every record site in the runtime disappears.
+// Tracing is always compiled in and costs nothing while detached: each
+// spawn, sync and call tests the worker's hook pointers once and, with no
+// session or chaos policy attached, runs an instantiation with no record
+// site in it (DESIGN.md §4.12).
 #pragma once
 
 #include <cstdint>
-
-#ifndef CILKPP_TRACE_ENABLED
-#define CILKPP_TRACE_ENABLED 1
-#endif
 
 namespace cilkpp::trace {
 

@@ -10,9 +10,11 @@
 // run in the same session overlays the first in the assembled timeline
 // (counted under timeline::anomalies, never fatal).
 //
-// When tracing is compiled out (CILKPP_TRACE_ENABLED=0) a session still
-// constructs — compiled_in is false, nothing is recorded, and assemble()
-// returns an empty timeline — so callers need no #ifdefs.
+// Attaching a session switches the scheduler's spawns, syncs and calls to
+// their observed instantiation for the runs it covers; detaching switches
+// them back, so a scheduler without a session pays no record site. A chaos
+// policy may be installed beside a session: each hook fires what it fires
+// alone.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,6 @@ struct session_options {
 
 class session {
  public:
-  static constexpr bool compiled_in = CILKPP_TRACE_ENABLED != 0;
-
   /// Attaches rings to every worker. The scheduler must be idle (no run()
   /// in flight) and must outlive the session.
   explicit session(rt::scheduler& sched, session_options opts = {});
@@ -47,7 +47,7 @@ class session {
   session(const session&) = delete;
   session& operator=(const session&) = delete;
 
-  /// True while the rings are installed (always false when compiled out).
+  /// True while the rings are installed.
   bool active() const { return active_; }
 
   /// Detaches the rings (idempotent; requires the scheduler to be idle).

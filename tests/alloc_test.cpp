@@ -17,9 +17,7 @@
 #include "cilkscreen/screen_context.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
-#if CILKPP_STRESS_ENABLED
 #include "stress/chaos.hpp"
-#endif
 #include "memlens/analyzer.hpp"
 #include "memlens/report.hpp"
 
@@ -183,7 +181,6 @@ TEST(SlabMigration, CrossThreadFreeBalances) {
 
 // --- Leak balance under chaos ----------------------------------------------
 
-#if CILKPP_STRESS_ENABLED
 /// Every task frame, slot-arena chunk and reducer view allocated by a
 /// chaos-perturbed parallel run is freed by the time the scheduler is torn
 /// down, for every seed — the slab-level leak oracle of the stress suite.
@@ -211,8 +208,6 @@ TEST(SlabChaos, EightSeedSweepStaysBalanced) {
     EXPECT_TRUE(alloc::slab_totals().balanced()) << "chaos seed " << seed;
   }
 }
-#endif  // CILKPP_STRESS_ENABLED
-
 // --- Memlens layout certificate --------------------------------------------
 
 template <typename D>

@@ -29,6 +29,8 @@
 #include "support/cache.hpp"
 #include "workloads/qsort.hpp"
 
+#include "hook_programs.hpp"
+
 namespace cilkpp::rt {
 namespace {
 
@@ -380,6 +382,34 @@ TEST(Exceptions, SchedulerUsableAfterException) {
   EXPECT_EQ(v, serial_fib(12));
 }
 
+TEST(Exceptions, ImplicitSyncOfACalledFrameRethrows) {
+  // The called frame does not sync: its implicit sync meets the child's
+  // exception, which leaves call() once the frame has ended and folded its
+  // reducer views into the caller's.
+  for (const unsigned workers : {1u, 4u}) {
+    scheduler sched(workers);
+    cilk::reducer<cilk::hyper::opadd<int>> sum;
+    const std::string caught = sched.run([&](context& ctx) {
+      try {
+        ctx.call([&](context& inner) {
+          sum.view(inner) += 1;
+          inner.spawn([&](context& child) {
+            sum.view(child) += 2;
+            throw std::runtime_error("child");
+          });
+          sum.view(inner) += 4;
+        });
+      } catch (const std::runtime_error& e) {
+        return std::string(e.what());
+      }
+      return std::string("nothing");
+    });
+    EXPECT_EQ(caught, "child") << workers;
+    EXPECT_EQ(sum.value(), 7) << workers;
+    EXPECT_EQ(sched.run([](context& ctx) { return fib(ctx, 12); }), serial_fib(12));
+  }
+}
+
 TEST(Exceptions, ThrownFromCalledFrame) {
   scheduler sched(2);
   EXPECT_THROW(sched.run([](context& ctx) {
@@ -636,6 +666,87 @@ TEST(Stats, StealProvenanceSumsToSteals) {
   std::uint64_t merged = 0;
   for (std::uint64_t c : sum.steals_by_victim) merged += c;
   EXPECT_EQ(merged, sum.steals);
+}
+
+TEST(Stats, SnapshotsAreReadableWhileARunIsInFlight) {
+  // A second thread polls stats() and per_worker_stats() throughout a
+  // four-worker fib(25): every snapshot is allowed, spawns never go down,
+  // and the invariants that relate two counters hold exactly once run()
+  // has returned.
+  scheduler sched(4);
+  sched.reset_stats();
+  std::atomic<bool> running{false};
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> polls_in_flight{0};
+  std::uint64_t polls = 0;
+  bool spawns_went_down = false;
+  std::thread poller([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const bool in_flight = running.load();
+      const worker_stats s = sched.stats();
+      std::uint64_t per_worker_spawns = 0;
+      for (const worker_stats& w : sched.per_worker_stats()) {
+        per_worker_spawns += w.spawns;
+      }
+      spawns_went_down |= s.spawns < last || per_worker_spawns < s.spawns;
+      last = per_worker_spawns;
+      ++polls;
+      if (in_flight) polls_in_flight.fetch_add(1);
+    }
+  });
+  const std::uint64_t r = sched.run([&](context& ctx) {
+    running.store(true);
+    // At least one snapshot is taken while the run is certainly in flight.
+    while (polls_in_flight.load() == 0) std::this_thread::yield();
+    return workloads::fib(ctx, 25);
+  });
+  running.store(false);
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(r, workloads::fib_serial(25));
+  EXPECT_GT(polls, 0u);
+  EXPECT_FALSE(spawns_went_down);
+  const worker_stats s = sched.stats();
+  EXPECT_EQ(s.spawns, 121'392u);  // fib(26) - 1
+  EXPECT_EQ(s.tasks_executed, s.spawns);
+  std::uint64_t by_victim = 0;
+  for (std::uint64_t c : s.steals_by_victim) by_victim += c;
+  EXPECT_EQ(by_victim, s.steals);
+}
+
+// --- Exact chaos-point counts: the observed instantiation reaches every
+// chaos point (tests/hook_programs.hpp). ---
+
+TEST(ChaosPoints, CountsMatchTheDagAtEveryWorkerCount) {
+  for (const hook_test::program& prog : hook_test::programs()) {
+    hook_test::run_points one_worker;
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      // Declared before the scheduler: the policy must outlive it.
+      hook_test::counting_policy policy;
+      scheduler sched(workers);
+      sched.install_chaos(&policy);
+      sched.reset_stats();
+      EXPECT_EQ(sched.run(prog.run), prog.expected) << prog.name;
+      sched.remove_chaos();
+      const worker_stats s = sched.stats();
+      const hook_test::run_points c = hook_test::run_points::of(policy);
+      SCOPED_TRACE(std::string(prog.name) + ", P=" + std::to_string(workers));
+      EXPECT_EQ(s.spawns, prog.spawns);
+      EXPECT_EQ(c.sync_enter, c.sync_exit);
+      EXPECT_GT(c.sync_enter, 0u);
+      // Every pushed task runs once, on some worker.
+      EXPECT_EQ(c.spawn_push, c.task_run);
+      EXPECT_EQ(c.steal_success, s.steals);
+      EXPECT_LE(c.spawn_push, s.spawns);
+      if (workers == 1) {
+        EXPECT_EQ(c.spawn_push, 0u);  // every spawn runs as a call
+        one_worker = c;
+      } else {
+        EXPECT_EQ(c.sync_enter, one_worker.sync_enter);
+      }
+    }
+  }
 }
 
 // --- More edge cases. ---

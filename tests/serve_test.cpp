@@ -120,8 +120,6 @@ TEST(RuntimeSet, InstancesRunIndependentlyAndKeepTheirOwnStats) {
   }
 }
 
-#if CILKPP_STRESS_ENABLED
-
 // --- Schedule independence under multi-tenancy: the ISSUE's isolation
 // criterion. Each runtime runs a chaos-perturbed stress program WHILE the
 // other does the same; every pedigree-keyed output (each individual DPRNG
@@ -191,8 +189,6 @@ TEST(MultiTenantIsolation, ChaosStressedConcurrentRunsMatchSoloFingerprints) {
 
   EXPECT_TRUE(set.verify_isolation().isolated);
 }
-
-#endif  // CILKPP_STRESS_ENABLED
 
 // --- job_server admission semantics ----------------------------------------
 

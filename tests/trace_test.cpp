@@ -20,6 +20,8 @@
 #include "workloads/fib.hpp"
 #include "workloads/qsort.hpp"
 
+#include "hook_programs.hpp"
+
 namespace cilkpp::trace {
 namespace {
 
@@ -259,19 +261,7 @@ fib_capture capture_fib(unsigned workers, unsigned n,
   return out;
 }
 
-TEST(Session, CompiledOutSessionIsInert) {
-  if (session::compiled_in) GTEST_SKIP() << "tracing is compiled in";
-  scheduler sched(2);
-  session cap(sched);
-  EXPECT_FALSE(cap.active());
-  sched.run([](context& ctx) { return workloads::fib(ctx, 10); });
-  EXPECT_EQ(cap.recorded(), 0u);
-  timeline t = cap.assemble();
-  EXPECT_TRUE(t.frames.empty());
-}
-
 TEST(Session, CapturesConsistentFibTimelineOnFourWorkers) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 18);
   EXPECT_EQ(cap.expected, 2584u);
   EXPECT_EQ(cap.dropped, 0u) << "raise ring_capacity: drops break the rest";
@@ -320,7 +310,6 @@ TEST(Session, CapturesConsistentFibTimelineOnFourWorkers) {
 }
 
 TEST(Session, OneWorkerFibTraceRecordsEverySpawnAsASpawnedFrame) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   // A one-worker scheduler runs each spawn as a call; the trace must still
   // show the same dag: one spawn event and one spawned frame per spawn.
   constexpr std::uint64_t fib18_spawns = 4180;  // fib(19) - 1
@@ -350,8 +339,157 @@ TEST(Session, OneWorkerFibTraceRecordsEverySpawnAsASpawnedFrame) {
   EXPECT_EQ(rec1.frames, one.t.frames.size());
 }
 
+// --- Exact event counts: the observed instantiation records every event
+// (tests/hook_programs.hpp). ---
+
+/// Events of each kind in one assembled run.
+struct event_counts {
+  std::uint64_t spawn = 0;
+  std::uint64_t frame_begin = 0;
+  std::uint64_t frame_end = 0;
+  std::uint64_t sync_begin = 0;
+  std::uint64_t sync_end = 0;
+  std::uint64_t steal = 0;
+
+  static event_counts of(const timeline& t) {
+    event_counts c;
+    for (const event& e : t.events) {
+      switch (e.kind) {
+        case event_kind::spawn: ++c.spawn; break;
+        case event_kind::frame_begin: ++c.frame_begin; break;
+        case event_kind::frame_end: ++c.frame_end; break;
+        case event_kind::sync_begin: ++c.sync_begin; break;
+        case event_kind::sync_end: ++c.sync_end; break;
+        case event_kind::steal: ++c.steal; break;
+      }
+    }
+    return c;
+  }
+};
+
+/// The schedule-independent counts agree.
+void expect_same_dag_counts(const event_counts& a, const event_counts& b) {
+  EXPECT_EQ(a.spawn, b.spawn);
+  EXPECT_EQ(a.frame_begin, b.frame_begin);
+  EXPECT_EQ(a.frame_end, b.frame_end);
+  EXPECT_EQ(a.sync_begin, b.sync_begin);
+  EXPECT_EQ(a.sync_end, b.sync_end);
+}
+
+/// One run of prog on sched with whatever hooks are attached, checked
+/// against the scheduler's statistics.
+struct counted_run {
+  event_counts events;
+  hook_test::run_points points;
+  rt::worker_stats stats;
+};
+
+/// Runs prog on sched: traced when `traced`, with `policy` installed when
+/// non-null (it must outlive sched).
+counted_run run_counted(scheduler& sched, const hook_test::program& prog,
+                        bool traced, hook_test::counting_policy* policy) {
+  counted_run out;
+  const hook_test::run_points before =
+      policy != nullptr ? hook_test::run_points::of(*policy) : hook_test::run_points{};
+  if (policy != nullptr) sched.install_chaos(policy);
+  sched.reset_stats();
+  if (traced) {
+    session cap(sched, session_options{std::size_t{1} << 16});
+    EXPECT_EQ(sched.run(prog.run), prog.expected) << prog.name;
+    timeline t = cap.assemble();
+    EXPECT_EQ(t.dropped, 0u) << prog.name;
+    out.events = event_counts::of(t);
+  } else {
+    EXPECT_EQ(sched.run(prog.run), prog.expected) << prog.name;
+  }
+  if (policy != nullptr) {
+    sched.remove_chaos();
+    out.points = hook_test::run_points::of(*policy) - before;
+  }
+  out.stats = sched.stats();
+  return out;
+}
+
+TEST(EventCounts, MatchTheDagAtEveryWorkerCount) {
+  for (const hook_test::program& prog : hook_test::programs()) {
+    event_counts one_worker;
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      scheduler sched(workers);
+      const counted_run r = run_counted(sched, prog, /*traced=*/true, nullptr);
+      SCOPED_TRACE(std::string(prog.name) + ", P=" + std::to_string(workers));
+      EXPECT_EQ(r.events.spawn, prog.spawns);
+      EXPECT_EQ(r.events.spawn, r.stats.spawns);
+      // The root, every spawned frame or leaf, and every called frame.
+      EXPECT_EQ(r.events.frame_begin, 1 + prog.spawns + prog.calls);
+      EXPECT_EQ(r.events.frame_end, r.events.frame_begin);
+      EXPECT_EQ(r.events.sync_begin, r.events.sync_end);
+      EXPECT_EQ(r.events.steal, r.stats.steals);
+      if (workers == 1) {
+        one_worker = r.events;
+      } else {
+        expect_same_dag_counts(r.events, one_worker);
+      }
+    }
+  }
+}
+
+TEST(EventCounts, SessionAndChaosPolicyTogetherFireWhatEachFiresAlone) {
+  for (const hook_test::program& prog : hook_test::programs()) {
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(prog.name) + ", P=" + std::to_string(workers));
+      hook_test::counting_policy alone_policy;
+      hook_test::counting_policy both_policy;
+      scheduler sched(workers);
+      const counted_run traced = run_counted(sched, prog, true, nullptr);
+      const counted_run chaotic = run_counted(sched, prog, false, &alone_policy);
+      const counted_run both = run_counted(sched, prog, true, &both_policy);
+      expect_same_dag_counts(both.events, traced.events);
+      EXPECT_EQ(both.points.sync_enter, chaotic.points.sync_enter);
+      EXPECT_EQ(both.points.sync_exit, chaotic.points.sync_exit);
+      // Schedule-dependent counts, within the one run that had both hooks:
+      // each steal is one steal event and one steal_success point.
+      EXPECT_EQ(both.events.steal, both.stats.steals);
+      EXPECT_EQ(both.points.steal_success, both.stats.steals);
+      EXPECT_EQ(both.points.spawn_push, both.points.task_run);
+      EXPECT_EQ(both.events.spawn, both.stats.spawns);
+    }
+  }
+}
+
+TEST(EventCounts, DetachedRunBetweenTwoAttachedRunsAddsNothing) {
+  const hook_test::program prog = hook_test::programs().front();
+  hook_test::counting_policy policy;
+  scheduler sched(4);
+  // Attached: a session and the policy together.
+  session first(sched, session_options{std::size_t{1} << 16});
+  sched.install_chaos(&policy);
+  EXPECT_EQ(sched.run(prog.run), prog.expected);
+  sched.remove_chaos();
+  first.stop();
+  const std::uint64_t recorded = first.recorded();
+  const hook_test::run_points first_points = hook_test::run_points::of(policy);
+  // Detached: neither the stopped session's rings nor the policy see it.
+  EXPECT_EQ(sched.run(prog.run), prog.expected);
+  EXPECT_EQ(first.recorded(), recorded);
+  EXPECT_EQ(first.dropped(), 0u);
+  const hook_test::run_points detached = hook_test::run_points::of(policy);
+  EXPECT_EQ(detached.sync_enter, first_points.sync_enter);
+  EXPECT_EQ(detached.sync_exit, first_points.sync_exit);
+  EXPECT_EQ(detached.spawn_push, first_points.spawn_push);
+  EXPECT_EQ(detached.task_run, first_points.task_run);
+  EXPECT_EQ(detached.steal_success, first_points.steal_success);
+  // Attached again: the same counts as the first attached run.
+  const event_counts first_events = event_counts::of(first.assemble());
+  EXPECT_EQ(first_events.frame_begin, 1 + prog.spawns);
+  const counted_run second = run_counted(sched, prog, true, &policy);
+  expect_same_dag_counts(second.events, first_events);
+  EXPECT_EQ(second.points.sync_enter, first_points.sync_enter);
+  EXPECT_EQ(second.points.sync_exit, first_points.sync_exit);
+  EXPECT_EQ(second.points.spawn_push, second.points.task_run);
+  EXPECT_EQ(second.points.steal_success, second.stats.steals);
+}
+
 TEST(ChromeExport, EventCountMatchesRingTotalsAndNestingIsWellFormed) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 16);
   std::ostringstream os;
   write_chrome_trace(os, cap.t);
@@ -385,7 +523,6 @@ TEST(ChromeExport, EventCountMatchesRingTotalsAndNestingIsWellFormed) {
 }
 
 TEST(Replay, SimT1MatchesMeasuredSerialWorkWithinTenPercent) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   fib_capture cap = capture_fib(4, 18);
   ASSERT_EQ(cap.dropped, 0u);
   reconstruction rec = reconstruct_dag(cap.t);
@@ -406,7 +543,6 @@ TEST(Replay, SimT1MatchesMeasuredSerialWorkWithinTenPercent) {
 }
 
 TEST(Replay, WhatIfPredictionsRespectCilkviewBounds) {
-  if (!session::compiled_in) GTEST_SKIP() << "tracing compiled out";
   scheduler sched(4);
   session cap(sched, session_options{std::size_t{1} << 17});
   auto data = workloads::random_doubles(std::size_t{1} << 16, 7);
