@@ -3,8 +3,9 @@
 // A holder gives each strand an isolated instance of T (like the views of a
 // reducer) but carries no cross-strand reduction. It keeps that isolation
 // at every worker count: a one-worker scheduler lets a reducer's strands
-// share one view, but not a holder's (rt::hyperobject_base::
-// shares_serial_view). Cilk++ ships holders
+// update its leftmost value in place, but a holder has no view to share
+// (its rt::hyperobject_base::serial_view is null), so every strand that
+// touches it gets a fresh copy of the prototype. Cilk++ ships holders
 // alongside reducers in the hyperobject library [Frigo et al., SPAA'09, the
 // paper's ref 17]; they replace thread-local scratch buffers in code being
 // parallelized.

@@ -10,9 +10,10 @@
 // identity); the runtime folds views strictly in serial order at syncs, so
 // the final value — including element order for list append — is identical
 // to the serial execution's (see tests/hyper_test.cpp's determinism sweeps).
-// A one-worker scheduler runs every strand in serial order, so there all
-// strands share one view, as in Cilk++, where a view is created only after
-// a steal.
+// A one-worker scheduler runs every strand in serial order, so there every
+// strand updates the leftmost value in place, as the elision does: no view
+// is created and no reduce runs, as in Cilk++, where a view is created only
+// after a steal.
 //
 // Usage (the paper's Fig. 7):
 //
@@ -83,10 +84,11 @@ class reducer final : public rt::hyperobject_base {
   using value_type = typename M::value_type;
 
   /// Leftmost view starts at the identity…
-  reducer() : leftmost_(M::identity()) {}
+  reducer() : reducer(M::identity()) {}
   /// …or at an initial value, which stays the leftmost operand of the fold
   /// (e.g. a list with existing contents keeps them at the front).
-  explicit reducer(value_type initial) : leftmost_(std::move(initial)) {}
+  explicit reducer(value_type initial)
+      : hyperobject_base(&leftmost_), leftmost_(std::move(initial)) {}
 
   reducer(const reducer&) = delete;
   reducer& operator=(const reducer&) = delete;
@@ -95,11 +97,13 @@ class reducer final : public rt::hyperobject_base {
   /// strand's next spawn or sync; re-fetch after either so updates land in
   /// the correct fold position.
   ///
-  /// Cost model (docs/TUTORIAL.md §12): repeat fetches within a strand hit
-  /// the frame's one-entry cache (two loads and a compare); the first fetch
-  /// after a spawn/sync scans the strand segment's flat view map — O(#
-  /// distinct reducers this strand touched), with rt::inline_view_capacity
-  /// entries stored inline before the segment spills to the heap.
+  /// Cost model (docs/TUTORIAL.md §12): on a one-worker scheduler a fetch
+  /// returns the leftmost value (three loads and two tests, all inline).
+  /// Otherwise a fetch scans the segment the frame has cached for its
+  /// current strand, inline — O(# distinct reducers this strand touched),
+  /// with rt::inline_view_capacity entries stored inline before the segment
+  /// spills to the heap — and only the first fetch of each reducer after a
+  /// spawn/sync leaves the inline path to open the segment or the view.
   template <typename Ctx>
   value_type& view(Ctx& ctx) {
     if constexpr (routes_views<Ctx>) {
@@ -108,27 +112,27 @@ class reducer final : public rt::hyperobject_base {
       // Under a race-detection engine the serial leftmost value IS the
       // current view; report the access (as a write — the caller gets a
       // mutable reference) so raw bypasses of this reducer are caught.
+      value_type& leftmost = leftmost_.value;
       if constexpr (lints_views<Ctx>) {
-        ctx.note_view_fetch(*this, &leftmost_, sizeof(leftmost_),
+        ctx.note_view_fetch(*this, &leftmost, sizeof(leftmost),
                             this->debug_label());
       }
       if constexpr (lenses_views<Ctx>) {
-        ctx.note_lens_region(&leftmost_, sizeof(leftmost_),
-                             this->debug_label());
+        ctx.note_lens_region(&leftmost, sizeof(leftmost), this->debug_label());
       }
-      ctx.note_view_access(*this, &leftmost_, sizeof(leftmost_),
+      ctx.note_view_access(*this, &leftmost, sizeof(leftmost),
                            /*is_write=*/true, this->debug_label());
-      return leftmost_;
+      return leftmost;
     } else {
       (void)ctx;
-      return leftmost_;
+      return leftmost_.value;
     }
   }
 
   /// The fully folded value. Only meaningful when the computation that
   /// updated this reducer has completed (scheduler::run returned).
-  value_type& value() { return leftmost_; }
-  const value_type& value() const { return leftmost_; }
+  value_type& value() { return leftmost_.value; }
+  const value_type& value() const { return leftmost_.value; }
 
   /// Retires a *locally-scoped* reducer: folds the view accumulated in
   /// ctx's frame into the leftmost value and returns the whole result,
@@ -140,7 +144,7 @@ class reducer final : public rt::hyperobject_base {
   value_type collect(Ctx& ctx) {
     if constexpr (routes_views<Ctx>) {
       if (std::unique_ptr<rt::view_base> v = ctx.extract_view(*this)) {
-        M::reduce(leftmost_, std::move(static_cast<typed_view&>(*v).value));
+        M::reduce(leftmost_.value, std::move(static_cast<typed_view&>(*v).value));
       }
     } else {
       (void)ctx;
@@ -150,16 +154,17 @@ class reducer final : public rt::hyperobject_base {
 
   /// Moves the value out and resets to the identity (handy between runs).
   value_type take() {
-    value_type out = std::move(leftmost_);
-    leftmost_ = M::identity();
+    value_type out = std::move(leftmost_.value);
+    leftmost_.value = M::identity();
     return out;
   }
 
-  void set_value(value_type v) { leftmost_ = std::move(v); }
+  void set_value(value_type v) { leftmost_.value = std::move(v); }
 
  private:
   struct typed_view final : rt::view_base {
     typed_view() : value(M::identity()) {}
+    explicit typed_view(value_type v) : value(std::move(v)) {}
     value_type value;
   };
 
@@ -173,13 +178,13 @@ class reducer final : public rt::hyperobject_base {
   }
 
   void absorb_final(std::unique_ptr<rt::view_base> final_view) override {
-    M::reduce(leftmost_,
+    M::reduce(leftmost_.value,
               std::move(static_cast<typed_view&>(*final_view).value));
   }
 
-  bool shares_serial_view() const override { return true; }
-
-  value_type leftmost_;
+  /// The leftmost value, as a view: hyperobject_base::serial_view points
+  /// here.
+  typed_view leftmost_;
 };
 
 }  // namespace cilkpp::hyper

@@ -19,10 +19,9 @@
 //     strand executing this frame — only it spawns, calls, syncs, or
 //     accesses reducers through this frame. Appends never move existing
 //     slots (chunked storage), so children holding slot pointers are safe.
-//     On a one-worker scheduler every frame's reducer accesses go to the
-//     root's current segment instead (holders keep their own segments);
-//     the run is serial there, so the strand touching it is always the one
-//     strand that is running.
+//     On a one-worker scheduler a reducer access opens no segment at all:
+//     it updates the reducer's leftmost value (hyper_view), and only
+//     holder views reach a segment.
 //   * A child slot holds the child's task record from the spawn until the
 //     child's implicit sync; the child then destroys the record, rebuilds
 //     the slot's result fields and writes its results there. Exactly one
@@ -62,17 +61,28 @@ void context::help_until_joined() noexcept {
 }
 
 std::exception_ptr context::fold_delivered() {
-  // Folding consumes view objects; the strand-local cache may point into a
-  // consumed segment. Only the owning strand calls fold paths, so this is
-  // a plain write.
-  cached_hyper_ = nullptr;
+  // Folding replaces every segment; the strand's cached segment goes with
+  // them. Only the owning strand calls fold paths, so this is a plain
+  // write.
+  segment_ = nullptr;
   std::exception_ptr first_exception;
   view_map folded;
   slot_arena& arena = joins_.arena;
-  arena.for_each([&](frame_slot& s) {
-    if (s.exception() && !first_exception) first_exception = s.exception();
-    fold_view_maps(folded, std::move(s.views()));
-  });
+  try {
+    arena.for_each([&](frame_slot& s) {
+      if (s.exception() && !first_exception) first_exception = s.exception();
+      fold_view_maps(folded, std::move(s.views()));
+    });
+  } catch (...) {
+    // A reduce threw. fold_view_maps left every view with one owner:
+    // `folded`, a slot, or the unwinding that consumed it. The fold ends
+    // here and drops them all, each once — the clear() below and folded's
+    // destructor — so the next sync finds nothing to fold. The reduce's
+    // exception is the fold's result, as a child's would be, unless a
+    // serially earlier child already threw.
+    if (!first_exception) first_exception = std::current_exception();
+    folded.clear();
+  }
   arena.clear();
   joins_.child_delivered.store(false, std::memory_order_relaxed);
   if (!folded.empty()) {
@@ -163,19 +173,14 @@ std::unique_ptr<view_base> context::extract_view(hyperobject_base& h) {
   CILKPP_ASSERT(all_joined(),
                 "extract_view with children still running; sync() first");
   if (std::exception_ptr ex = fold_slots()) std::rethrow_exception(ex);
-  // On a one-worker scheduler a reducer's views are the root's (see
-  // hyper_view), and while this frame runs no delivery lands in the root's
-  // arena, so the root's tail segment holds every update made since this
-  // frame's first. Every other frame on the stack is suspended at a spawn
-  // or a call, whose bump_rank cleared its view cache, so only this
-  // frame's cache can point at the view taken here.
-  context& owner = view_owner(h);
-  if (!owner.joins_built_) return nullptr;
-  frame_slot* tail = owner.joins_.arena.last();
+  // The folded arena holds at most one segment. On a one-worker scheduler
+  // it holds no reducer view: the reducer's leftmost value already has
+  // every update. The segment stays put, so the strand's cached segment
+  // stays exact without h's entry.
+  if (!joins_built_) return nullptr;
+  frame_slot* tail = joins_.arena.last();
   if (tail == nullptr) return nullptr;
-  std::unique_ptr<view_base> out = tail->views().extract(&h);
-  if (out != nullptr && cached_hyper_ == &h) cached_hyper_ = nullptr;
-  return out;
+  return tail->views().extract(&h);
 }
 
 view_map& context::current_segment() {
@@ -187,40 +192,15 @@ view_map& context::current_segment() {
   return tail->views();
 }
 
-void context::seal_segment(frame_slot& tail) {
-  // On a one-worker scheduler a reducer's view in this segment is the one
-  // every strand shares (view_owner); only a holder's must not reach the
-  // next strand.
-  if (home_->solo) {
-    const view_map& views = tail.views();
-    if (std::all_of(views.begin(), views.end(), [](const view_map::entry& e) {
-          return e.hyper->shares_serial_view();
-        })) {
-      return;
-    }
-  }
-  joins_.arena.append(/*is_child=*/true);
-}
-
-context& context::view_owner(const hyperobject_base& h) {
-  return home_->solo && h.shares_serial_view() ? *sched_->root_ : *this;
-}
-
-view_base& context::hyper_view(hyperobject_base& h) {
-  if (cached_hyper_ == &h) return *cached_view_;  // strand-local fast path
-  // A one-worker scheduler runs every strand in serial order, so the
-  // root's current view of a reducer is the current view of every frame:
-  // a spawned or called frame opens no segment and creates no view of its
-  // own, as in Cilk++ a view is created only after a steal (Sec. 5). The
-  // root folds its segments only while it is the running frame, so the
-  // cached view stays put (see cached_hyper_). A holder promises each
-  // strand a fresh view and keeps this frame's segments at every P.
-  view_map& segment = view_owner(h).current_segment();
-  view_base* v = segment.find(&h);
-  if (v == nullptr) v = segment.insert_new(&h, h.identity_view());
-  cached_hyper_ = &h;
-  cached_view_ = v;
-  return *v;
+view_base& context::open_view(hyperobject_base& h) {
+  // The strand's first access since its frame last spawned, called or
+  // synced, or its first access to h: the tail segment is the strand's
+  // (current_segment opens it after a child slot), and the cache keeps it
+  // for every later access of the strand.
+  view_map& segment = current_segment();
+  segment_ = &segment;
+  if (view_base* v = segment.find(&h)) return *v;
+  return *segment.insert_new(&h, h.identity_view());
 }
 
 std::uint64_t context::strand_id() const { return ped_mix(ped_hash_, rank_); }

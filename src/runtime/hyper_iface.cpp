@@ -5,8 +5,9 @@ namespace cilkpp::rt {
 void fold_view_maps(view_map& left, view_map&& right) {
   // Ownership of each right view transfers out of `right` *before* the
   // (potentially throwing) reduce runs: reduce_views may throw (the runtime
-  // supports throwing reduces — see finish_root_abandoned), and during the
-  // resulting unwinding both `left` and `right` are destroyed. Nulling the
+  // supports throwing reduces — see context::fold_delivered and
+  // finish_root_abandoned), and during the resulting unwinding both `left`
+  // and `right` are destroyed. Nulling the
   // entry as it is consumed guarantees every view has exactly one owner at
   // every point, so no double free. clear() tolerates the nulls (delete of
   // nullptr is a no-op).

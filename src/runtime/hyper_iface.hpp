@@ -38,6 +38,8 @@ struct view_base {
 /// One hyperobject (e.g. one declared reducer). Identity of the object is
 /// its address; it must outlive every computation that accesses it.
 struct hyperobject_base {
+  explicit hyperobject_base(view_base* serial = nullptr) noexcept
+      : serial_view(serial) {}
   virtual ~hyperobject_base() = default;
 
   /// Human-readable name used by diagnostic tools — Cilkscreen's view-race
@@ -56,12 +58,14 @@ struct hyperobject_base {
   /// (user-visible) value: leftmost := reduce(leftmost, final).
   virtual void absorb_final(std::unique_ptr<view_base> final_view) = 0;
 
-  /// True if strands that run in serial order may all update one view: a
-  /// reducer's monoid makes that equal to folding a view per strand. A
-  /// one-worker scheduler then gives every frame the root's current view
-  /// (context::hyper_view). The default keeps a view per strand segment at
-  /// every worker count, as a holder's contract needs.
-  virtual bool shares_serial_view() const { return false; }
+  /// A view that strands running in serial order may all update in place,
+  /// or null. A reducer points it at its leftmost value: its monoid makes
+  /// one view updated in serial order equal to folding a view per strand,
+  /// so a one-worker scheduler hands every frame this view, as the elision
+  /// does, and never creates or reduces another (context::hyper_view). A
+  /// holder leaves it null: it promises every strand a fresh view, at every
+  /// worker count.
+  view_base* const serial_view;
 };
 
 /// How many (hyperobject, view) pairs a strand segment stores before its

@@ -260,9 +260,10 @@ struct worker {
 
   unsigned id;
   /// True when the scheduler has no other worker, so no thief can take a
-  /// child: every spawn then runs as a call and every frame shares the
-  /// root's reducer views. Immutable; a spawn reads it from the worker it
-  /// already holds, on a line nobody writes.
+  /// child: every spawn then runs as a call and every frame updates a
+  /// reducer's leftmost value in place (context::hyper_view). Immutable; a
+  /// spawn reads it from the worker it already holds, on a line nobody
+  /// writes.
   const bool solo;
   /// Deque depth from which a spawn runs its child as a call: P − 1, one
   /// queued task for every other worker. Pushes happen only below it, so
@@ -421,8 +422,11 @@ class context {
   /// The strand's current view of hyperobject h (hyperobject library entry
   /// point). The reference is stable until this strand's next spawn/sync;
   /// re-fetch after either. On a one-worker scheduler every strand runs in
-  /// serial order, so every frame shares the root frame's current view of
-  /// a reducer (hyperobject_base::shares_serial_view).
+  /// serial order, so every frame updates h's serial view in place — a
+  /// reducer's leftmost value (hyperobject_base::serial_view) — as the
+  /// elision does. Otherwise the view is this strand's own, in this frame's
+  /// current segment; the lookup is inline while the frame's cached segment
+  /// holds it (open_view is the rest).
   view_base& hyper_view(hyperobject_base& h);
 
   /// Removes and returns this frame's folded view of h (null if h was never
@@ -468,8 +472,8 @@ class context {
   /// storage and the fields stolen children write. Built in place at that
   /// first use (build_joins), so a frame that needs none of it — a fib
   /// leaf, a frame whose spawns all ran as calls and left nothing, and
-  /// every frame of a one-worker scheduler but the root unless a holder or
-  /// an exception reaches it — never builds it.
+  /// every frame of a one-worker scheduler unless a holder or an exception
+  /// reaches it — never builds it.
   struct join_state {
     // Slot storage: structure (append/clear) is owner-only; a completing
     // child writes only the contents of its own slot.
@@ -615,21 +619,14 @@ class context {
   /// the arena tail is an open segment, appends a pristine, uncounted child
   /// slot (it folds as the identity), so the continuation opens a fresh
   /// segment and the fold associates as it does after a pushed spawn —
-  /// whether or not the child was pushed. On a one-worker scheduler only a
-  /// segment that holds a holder's view is ended: a reducer's strands
-  /// there keep sharing the root's one view.
+  /// whether or not the child was pushed. On a one-worker scheduler a
+  /// segment holds only holder views, whose next strand must start from
+  /// the prototype.
   void seal_strand() {
     if (!joins_built_) return;
     frame_slot* tail = joins_.arena.last();
-    if (tail != nullptr && !tail->is_child) seal_segment(*tail);
+    if (tail != nullptr && !tail->is_child) joins_.arena.append(/*is_child=*/true);
   }
-  /// seal_strand's append, for an open tail segment.
-  void seal_segment(frame_slot& tail);
-
-  /// The frame whose segments hold this frame's views of h: on a
-  /// one-worker scheduler the root's, for a hyperobject whose strands may
-  /// share a view; otherwise this frame's own.
-  context& view_owner(const hyperobject_base& h);
 
   /// The frame's join state, built in place on first use (owner-only).
   join_state& build_joins() noexcept {
@@ -713,8 +710,9 @@ class context {
   /// Called-frame epilogue on the exception path: joins children and still
   /// folds the views of completed strands into the parent's current
   /// segment, as a throwing spawned child delivers them — and as a
-  /// one-worker scheduler, whose frames update the root's views directly,
-  /// cannot help doing. Child exceptions are superseded by the body's.
+  /// one-worker scheduler, whose frames update a reducer's leftmost value
+  /// directly, cannot help doing. Child exceptions are superseded by the
+  /// body's.
   template <bool Observed>
   void finish_called_abandoned() noexcept;
 
@@ -735,14 +733,18 @@ class context {
   /// at the arena tail unless the tail already is one.
   view_map& current_segment();
 
+  /// hyper_view's miss path: caches the current segment and finds h's view
+  /// there, creating it from h's identity if the strand has none yet.
+  view_base& open_view(hyperobject_base& h);
+
   /// Advances the pedigree rank (called at spawn and sync so the strands a
   /// frame executes before/after each parallel-control event are distinct).
-  /// Also invalidates the strand-local view cache: the next reducer access
-  /// must open a fresh segment.
+  /// Also drops the strand's cached segment: the next reducer access must
+  /// open a fresh one.
   void bump_rank() {
     ++rank_;
     draws_ = 0;
-    cached_hyper_ = nullptr;
+    segment_ = nullptr;
   }
 
   // --- Owner-only fields: written exclusively by the strand executing
@@ -765,17 +767,17 @@ class context {
   std::uint64_t rank_ = 0;  // spawn/sync rank within this frame
   std::uint64_t birth_rank_ = 0;  // parent's rank when this frame was born
   std::uint64_t draws_ = 0;       // dprng draws on the current strand
-  // Strand-local view cache: repeat accesses to the same hyperobject
-  // within a strand skip the flat-map scan. Safe because a view object is
-  // heap-stable and leaves its segment only through a fold or an
-  // extract_view, which the running strand performs, clearing its own
-  // cache; at P > 1 no other frame touches this frame's segments. On a
-  // one-worker scheduler every frame caches reducer views that sit in the
-  // root's segments, but every frame other than the running one is then
-  // suspended at a spawn or a call, which cleared its cache. bump_rank()
-  // clears the cache at every spawn/sync.
-  hyperobject_base* cached_hyper_ = nullptr;
-  view_base* cached_view_ = nullptr;
+  // Strand-local segment cache: null, or this frame's tail segment — the
+  // current strand's views, which every access of the strand scans inline
+  // (hyper_view), however many hyperobjects it touches. Safe because a
+  // segment's address is stable until the arena's next clear(), which only
+  // a fold or the frame's end performs, and the running strand performs
+  // both; no other frame touches this frame's segments. Cleared when the
+  // tail stops being the strand's segment: at every spawn, call and sync
+  // (bump_rank), at a spawn whose closure copy threw, and by a fold
+  // (fold_delivered). extract_view leaves it: the extracted view is only
+  // gone from the segment.
+  view_map* segment_ = nullptr;
   // True once joins_ is built (build_joins); ~context destroys it then.
   bool joins_built_ = false;
   union {
@@ -925,11 +927,6 @@ class scheduler {
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> run_active_{false};
   std::atomic<unsigned> affinity_applied_{0};
-  /// The root frame of the run in flight; null between runs. A one-worker
-  /// scheduler keeps every frame's reducer views in its current segment
-  /// (context::hyper_view). Written by run() on worker 0's thread, which is
-  /// the only thread of a one-worker scheduler.
-  context* root_ = nullptr;
 
   // Idle parking: workers nap when the whole system looks empty, under the
   // register→recheck→wait protocol (see worker_main): a worker increments
@@ -1034,8 +1031,10 @@ inline void context::spawn_record_in_slot(task::run_fn detached_run,
   } catch (...) {
     // The closure's copy threw, so the child never existed: its slot goes
     // back to pristine and stays uncounted (it folds as the identity), and
-    // the frame's sync or unwinding epilogue has nothing to wait for.
+    // the frame's sync or unwinding epilogue has nothing to wait for. It
+    // ends the strand's segment as a child's slot would.
     slot->open_result();
+    segment_ = nullptr;
     throw;
   }
   if (hooked) [[unlikely]] {
@@ -1092,7 +1091,7 @@ void context::spawn_as_call(Fn& closure) {
   // The child is a spawned frame in every observable way — pedigree, depth,
   // census, trace — but it needs no slot unless it delivers something: it
   // joins before the continuation starts, and on a one-worker scheduler it
-  // shares the root's reducer views.
+  // updates a reducer's leftmost value in place.
   context child(std::bool_constant<Observed>{}, sched_, home_, this,
                 /*parent_slot=*/nullptr, kind::spawned, child_ped, child_birth);
   std::exception_ptr body_exception;
@@ -1105,7 +1104,7 @@ void context::spawn_as_call(Fn& closure) {
       child.sync_spawned<Observed>(std::move(body_exception));
   child.end_frame<Observed>();
   // On a one-worker scheduler only a holder's views can be left: a
-  // reducer's went to the root's.
+  // reducer's strands updated its leftmost value.
   if (deliver || child.joins_built_) {
     keep_inline_child(child.take_final_views(), std::move(deliver));
   } else {
@@ -1231,6 +1230,16 @@ void context::run_leaf(frame_slot& slot, worker& w) {
 }
 
 inline unsigned context::num_workers() const { return sched_->num_workers(); }
+
+inline view_base& context::hyper_view(hyperobject_base& h) {
+  // One worker: strands run in serial order, so a reducer's leftmost value
+  // is every strand's view (a holder has none and keeps its segments).
+  if (home_->solo && h.serial_view != nullptr) return *h.serial_view;
+  if (segment_ != nullptr) {
+    if (view_base* v = segment_->find(&h)) return *v;
+  }
+  return open_view(h);
+}
 
 inline void context::enter_frame(worker& w, std::uint64_t depth) noexcept {
   // Single writer (this worker); relaxed load-max-store is race-free.
@@ -1500,9 +1509,7 @@ auto scheduler::run_root(Fn& fn) -> decltype(fn(std::declval<context&>())) {
   context root(std::bool_constant<Observed>{}, this, workers_[0].get(), nullptr,
                nullptr, context::kind::root, /*ped_hash=*/ped::root_seed,
                /*birth_rank=*/0);
-  root_ = &root;
   auto cleanup = [&]() {
-    root_ = nullptr;
     set_current_worker(nullptr);
     run_active_.store(false);
   };

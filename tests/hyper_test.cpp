@@ -262,8 +262,9 @@ TEST(OrderedReductionMore, CalledFrameUpdatesFoldInPlace) {
   EXPECT_EQ(text.value(), "abc");
 }
 
-// --- One worker: every frame shares the root's view (Sec. 5: a view is
-// created only after a steal, and a one-worker scheduler has no thief). ---
+// --- One worker: every frame updates the leftmost value in place (Sec. 5:
+// a view is created only after a steal, and a one-worker scheduler has no
+// thief). ---
 
 /// Addition whose identity() counts the views the runtime creates.
 struct counting_add {
@@ -347,7 +348,7 @@ TEST(FoldAssociation, PinnedAcrossWorkerCountsAndSchedules) {
   }
 }
 
-TEST(SingleWorkerViews, OnlyTheFirstAccessMakesAView) {
+TEST(SingleWorkerViews, NoAccessMakesAView) {
   scheduler sched(1);
   reducer<counting_add> sum;  // its leftmost value took one identity
   const std::uint64_t before = counting_add::identities.load();
@@ -364,7 +365,7 @@ TEST(SingleWorkerViews, OnlyTheFirstAccessMakesAView) {
     sum.view(ctx) += 1;
     ctx.sync();
   });
-  EXPECT_EQ(counting_add::identities.load() - before, 1u);
+  EXPECT_EQ(counting_add::identities.load() - before, 0u);
   EXPECT_EQ(sum.value(), 1005);
 }
 
@@ -463,6 +464,244 @@ TEST(SingleWorkerViews, CollectOfALocalReducerReturnsEveryUpdate) {
   // Collecting one reducer leaves the others' shared views in place.
   EXPECT_EQ(outer.value(), (std::list<int>{0, 1, 2}));
 }
+
+// --- The strand's segment cache: one pointer to the frame's current
+// segment, scanned inline, so any number of reducers stays cached. ---
+
+/// BC's claim loop (graph::betweenness): every iteration updates one
+/// reducer, and then one of two others, by a bit of a hash of i.
+template <typename Ctx>
+void claim_loop(Ctx& ctx, reducer<opadd<std::uint64_t>>& hist,
+                reducer<vector_append<std::uint32_t>>& next,
+                reducer<vector_append<std::uint32_t>>& still) {
+  rt::parallel_for(
+      ctx, std::uint32_t{0}, std::uint32_t{5000},
+      [&](Ctx& leaf, std::uint32_t i) {
+        hist.view(leaf) += i % 7 + 1;
+        if (((i * 2654435761u) >> 29) & 1u) {
+          next.view(leaf).push_back(i);
+        } else {
+          still.view(leaf).push_back(i);
+        }
+      },
+      16);
+}
+
+struct claimed {
+  std::uint64_t hist = 0;
+  std::vector<std::uint32_t> next;
+  std::vector<std::uint32_t> still;
+  bool operator==(const claimed&) const = default;
+};
+
+/// Runs claim_loop twice in ctx's frame: once on reducers that outlive the
+/// run, once on local ones it collects, as betweenness does per level.
+template <typename Ctx>
+claimed claim_twice(Ctx& ctx, reducer<opadd<std::uint64_t>>& hist,
+                    reducer<vector_append<std::uint32_t>>& next,
+                    reducer<vector_append<std::uint32_t>>& still) {
+  claim_loop(ctx, hist, next, still);
+  reducer<opadd<std::uint64_t>> local_hist;
+  reducer<vector_append<std::uint32_t>> local_next;
+  reducer<vector_append<std::uint32_t>> local_still;
+  claim_loop(ctx, local_hist, local_next, local_still);
+  claimed out;
+  out.next = local_next.collect(ctx);
+  out.hist = local_hist.collect(ctx);
+  out.still = local_still.collect(ctx);
+  return out;
+}
+
+TEST(SegmentCache, ThreeReducersPerLeafMatchTheElision) {
+  reducer<opadd<std::uint64_t>> hist;
+  reducer<vector_append<std::uint32_t>> next;
+  reducer<vector_append<std::uint32_t>> still;
+  serial_context root;
+  const claimed local = claim_twice(root, hist, next, still);
+  const claimed expected{hist.take(), next.take(), still.take()};
+  ASSERT_EQ(local, expected);
+  ASSERT_FALSE(expected.next.empty());
+  ASSERT_FALSE(expected.still.empty());
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    scheduler sched(workers);
+    for (int round = 0; round < 3; ++round) {
+      const claimed got_local = sched.run(
+          [&](context& ctx) { return claim_twice(ctx, hist, next, still); });
+      const claimed got{hist.take(), next.take(), still.take()};
+      EXPECT_EQ(got, expected) << "workers=" << workers << " round=" << round;
+      EXPECT_EQ(got_local, expected) << "workers=" << workers << " round=" << round;
+    }
+  }
+}
+
+TEST(SegmentCache, OneWorkerChildHolderStartsFromThePrototype) {
+  // The child's reducer access must not leave it with a cached segment
+  // that holds the root's holder view.
+  scheduler sched(1);
+  holder<std::string> scratch(std::string("seed"));
+  reducer<opadd<int>> sum;
+  std::string child_saw;
+  sched.run([&](context& ctx) {
+    scratch.view(ctx) = "root";
+    ctx.spawn([&](context& c) {
+      sum.view(c) += 1;
+      child_saw = scratch.view(c);
+      scratch.view(c) = "child";
+    });
+    EXPECT_EQ(scratch.view(ctx), "seed");  // the continuation is a new strand
+  });
+  EXPECT_EQ(child_saw, "seed");
+  EXPECT_EQ(sum.value(), 1);
+}
+
+class SegmentCacheAtP : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SegmentCacheAtP, UpdatesAfterACollectLand) {
+  scheduler sched(GetParam());
+  reducer<opadd<int>> kept;
+  int collected = 0;
+  int collected_in_call = 0;
+  sched.run([&](context& ctx) {
+    reducer<opadd<int>> local;
+    ctx.spawn([&](context& c) {
+      local.view(c) += 1;
+      kept.view(c) += 1;
+    });
+    local.view(ctx) += 2;
+    kept.view(ctx) += 2;
+    ctx.sync();
+    local.view(ctx) += 4;
+    kept.view(ctx) += 4;
+    collected = local.collect(ctx);
+    // The same strand, after the collect: both updates must land.
+    local.view(ctx) += 8;
+    kept.view(ctx) += 8;
+    collected += local.collect(ctx);
+    ctx.call([&](context& f) {
+      reducer<opadd<int>> mine;
+      mine.view(f) += 16;
+      kept.view(f) += 16;
+      collected_in_call = mine.collect(f);
+      mine.view(f) += 32;
+      kept.view(f) += 32;
+      collected_in_call += mine.collect(f);
+    });
+  });
+  EXPECT_EQ(collected, 15);
+  EXPECT_EQ(collected_in_call, 48);
+  EXPECT_EQ(kept.value(), 63);
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, SegmentCacheAtP, ::testing::Values(1u, 2u, 4u));
+
+// --- A throwing reduce: the fold ends, drops every view once, and its
+// exception surfaces at the sync that ran it, like a child's. ---
+
+/// Addition that throws when both operands are non-zero, counting throws.
+struct throws_on_both {
+  using value_type = int;
+  static inline std::atomic<int> throws{0};
+  static int identity() { return 0; }
+  static void reduce(int& left, int&& right) {
+    if (left != 0 && right != 0) {
+      throws.fetch_add(1, std::memory_order_relaxed);
+      throw std::runtime_error("reduce");
+    }
+    left += right;
+  }
+};
+
+/// Leaves a view before a child, the child's view, and one after it: the
+/// next fold of ctx's frame reduces the first two and throws.
+void update_spawn_update(context& ctx, reducer<throws_on_both>& r) {
+  r.view(ctx) += 1;
+  ctx.spawn([&r](context& c) { r.view(c) += 1; });
+  r.view(ctx) += 1;
+}
+
+class ThrowingReduce : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ThrowingReduce, SurfacesAtTheSyncThatFolds) {
+  scheduler sched(GetParam());
+  {  // An explicit sync rethrows it; the next sync finds nothing to fold.
+    throws_on_both::throws = 0;
+    reducer<throws_on_both> r;
+    bool caught = false;
+    sched.run([&](context& ctx) {
+      update_spawn_update(ctx, r);
+      try {
+        ctx.sync();
+      } catch (const std::runtime_error&) {
+        caught = true;
+      }
+      r.view(ctx) += 1;
+      ctx.sync();
+    });
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(throws_on_both::throws.load(), 1);
+    EXPECT_EQ(r.value(), 1);  // only the update made after the failed fold
+  }
+  {  // The root's implicit sync: run() rethrows it.
+    throws_on_both::throws = 0;
+    reducer<throws_on_both> r;
+    EXPECT_THROW(sched.run([&](context& ctx) { update_spawn_update(ctx, r); }),
+                 std::runtime_error);
+    EXPECT_EQ(throws_on_both::throws.load(), 1);
+    EXPECT_EQ(r.value(), 0);
+  }
+  {  // A called frame ends, then rethrows it from the call.
+    throws_on_both::throws = 0;
+    reducer<throws_on_both> r;
+    bool caught = false;
+    sched.run([&](context& ctx) {
+      try {
+        ctx.call([&](context& f) { update_spawn_update(f, r); });
+      } catch (const std::runtime_error&) {
+        caught = true;
+      }
+    });
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(throws_on_both::throws.load(), 1);
+    EXPECT_EQ(r.value(), 0);
+  }
+  {  // A spawned frame hands it to its parent as a child exception…
+    throws_on_both::throws = 0;
+    reducer<throws_on_both> r;
+    bool caught = false;
+    sched.run([&](context& ctx) {
+      ctx.spawn([&](context& c) { update_spawn_update(c, r); });
+      try {
+        ctx.sync();
+      } catch (const std::runtime_error&) {
+        caught = true;
+      }
+    });
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(throws_on_both::throws.load(), 1);
+    EXPECT_EQ(r.value(), 0);
+  }
+  {  // …and the spawned body's own exception still wins.
+    throws_on_both::throws = 0;
+    reducer<throws_on_both> r;
+    bool body_won = false;
+    sched.run([&](context& ctx) {
+      ctx.spawn([&](context& c) {
+        update_spawn_update(c, r);
+        throw std::logic_error("body");
+      });
+      try {
+        ctx.sync();
+      } catch (const std::logic_error&) {
+        body_won = true;
+      }
+    });
+    EXPECT_TRUE(body_won);
+    EXPECT_EQ(throws_on_both::throws.load(), 1);
+  }
+  EXPECT_EQ(sched.run([](context&) { return 7; }), 7);  // still usable
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, ThrowingReduce, ::testing::Values(2u, 4u));
 
 // --- Multiple reducers in one computation. ---
 
