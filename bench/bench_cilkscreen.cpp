@@ -8,7 +8,14 @@
 //     subproblems): race reported, deterministically, in ONE serial run —
 //     the guarantee that an exposed race is always caught, while actual
 //     parallel executions "may execute successfully millions of times".
-// Overhead table: instrumented vs uninstrumented serial execution.
+// Overhead table: instrumented vs uninstrumented serial execution, under
+// both engines (SP-bags and SP-order).
+//
+// Exits non-zero when a verdict above breaks: Fig. 5 quiet, Fig. 6 or
+// Fig. 1 racy, the mutated qsort missed in any of its 10 runs, a race on
+// the n = 50,000 sort under either engine or the engines checking different
+// access counts there, or the lock mix's history histograms differing
+// between the engines or spilling.
 #include <algorithm>
 #include <iostream>
 #include <list>
@@ -25,9 +32,10 @@ namespace {
 using namespace cilkpp;
 using namespace cilkpp::screen;
 
-// Instrumented quicksort over cell<int>, with the Sec. 4 mutation toggle.
-void sqsort(screen_context& ctx, std::vector<cell<int>>& a, int lo, int hi,
-            bool buggy) {
+// Instrumented quicksort over cell<int>, with the Sec. 4 mutation toggle,
+// under either engine's context.
+template <typename Ctx>
+void sqsort(Ctx& ctx, std::vector<cell<int>>& a, int lo, int hi, bool buggy) {
   if (hi - lo < 2) return;
   const int pivot = a[static_cast<std::size_t>(lo)].get(ctx);
   int mid = lo;
@@ -43,31 +51,8 @@ void sqsort(screen_context& ctx, std::vector<cell<int>>& a, int lo, int hi,
   a[static_cast<std::size_t>(lo)].set(ctx, a[static_cast<std::size_t>(mid)].get(ctx));
   a[static_cast<std::size_t>(mid)].set(ctx, t);
   const int right = buggy ? std::max(lo + 1, mid - 1) : mid + 1;
-  ctx.spawn([&, lo, mid, buggy](screen_context& c) { sqsort(c, a, lo, mid, buggy); });
+  ctx.spawn([&, lo, mid, buggy](Ctx& c) { sqsort(c, a, lo, mid, buggy); });
   sqsort(ctx, a, right, hi, buggy);
-  ctx.sync();
-}
-
-// The same quicksort driven through the SP-order engine.
-void sqsort2(order_context& ctx, std::vector<cell<int>>& a, int lo, int hi,
-             bool buggy) {
-  if (hi - lo < 2) return;
-  const int pivot = a[static_cast<std::size_t>(lo)].get(ctx);
-  int mid = lo;
-  for (int i = lo + 1; i < hi; ++i) {
-    if (a[static_cast<std::size_t>(i)].get(ctx) < pivot) {
-      ++mid;
-      const int t = a[static_cast<std::size_t>(i)].get(ctx);
-      a[static_cast<std::size_t>(i)].set(ctx, a[static_cast<std::size_t>(mid)].get(ctx));
-      a[static_cast<std::size_t>(mid)].set(ctx, t);
-    }
-  }
-  const int t = a[static_cast<std::size_t>(lo)].get(ctx);
-  a[static_cast<std::size_t>(lo)].set(ctx, a[static_cast<std::size_t>(mid)].get(ctx));
-  a[static_cast<std::size_t>(mid)].set(ctx, t);
-  const int right = buggy ? std::max(lo + 1, mid - 1) : mid + 1;
-  ctx.spawn([&, lo, mid, buggy](order_context& c) { sqsort2(c, a, lo, mid, buggy); });
-  sqsort2(ctx, a, right, hi, buggy);
   ctx.sync();
 }
 
@@ -92,6 +77,13 @@ void swalk(screen_context& ctx, const workloads::assembly_node* x,
 
 int main() {
   std::cout << "=== E11: Cilkscreen race detection ===\n\n";
+  bool ok = true;
+  const auto expect = [&](bool holds, const char* what) {
+    if (!holds) {
+      std::cerr << "FAIL: " << what << "\n";
+      ok = false;
+    }
+  };
   const workloads::collision_model model{.cost = 5, .threshold = 256};
   const workloads::assembly asmbl = workloads::build_assembly(11, model, 3);
 
@@ -107,6 +99,7 @@ int main() {
     t.row("Fig. 5 naive walk", "race on output_list", d.stats().races_found,
           d.stats().reads_checked, d.stats().writes_checked,
           d.stats().races_lock_suppressed);
+    expect(d.found_races(), "Fig. 5 naive walk reports no race");
   }
   {
     detector d;
@@ -118,6 +111,7 @@ int main() {
     t.row("Fig. 6 mutex walk", "quiet", d.stats().races_found,
           d.stats().reads_checked, d.stats().writes_checked,
           d.stats().races_lock_suppressed);
+    expect(!d.found_races(), "Fig. 6 mutex walk reports a race");
   }
   for (const bool buggy : {false, true}) {
     detector d;
@@ -131,6 +125,7 @@ int main() {
           buggy ? "race (overlap)" : "quiet", d.stats().races_found,
           d.stats().reads_checked, d.stats().writes_checked,
           d.stats().races_lock_suppressed);
+    if (!buggy) expect(!d.found_races(), "Fig. 1 qsort reports a race");
   }
   t.print(std::cout);
 
@@ -148,6 +143,7 @@ int main() {
   }
   std::cout << "\nMutated qsort over 10 random inputs: race caught in " << caught
             << "/10 single serial runs (paper: guaranteed when exposed).\n\n";
+  expect(caught == 10, "mutated qsort missed in a single serial run");
 
   // Overhead of the detector vs the bare elision.
   {
@@ -177,7 +173,7 @@ int main() {
     for (int v : raw) a2.emplace_back(v);
     sw.reset();
     run_under_detector(od, [&](order_context& ctx) {
-      sqsort2(ctx, a2, 0, static_cast<int>(a2.size()), false);
+      sqsort(ctx, a2, 0, static_cast<int>(a2.size()), false);
     });
     const double order_s = sw.elapsed_s();
 
@@ -195,9 +191,13 @@ int main() {
     o.set_title("detector overhead, n = 50000 (binary-instrumentation tools "
                 "pay a comparable constant)");
     o.print(std::cout);
-    std::cout << "SP-order engine: " << od.relabel_count()
-              << " order-maintenance relabels; both engines report "
-                 "identically (see tests/sporder_test.cpp).\n\n";
+    std::cout << "SP-order engine: " << od.relation().relabel_count()
+              << " order-maintenance relabels.\n\n";
+    expect(!d.found_races(), "n = 50000 qsort races under SP-bags");
+    expect(!od.found_races(), "n = 50000 qsort races under SP-order");
+    expect(checked_bags == checked_order,
+           "the engines checked different access counts on the n = 50000 "
+           "qsort");
   }
 
   // ALL-SETS history depth: how many (lockset, kind) entries do shadow
@@ -251,6 +251,10 @@ int main() {
               << ", SP-order " << od.stats().history_spills
               << " (capacity " << history_capacity
               << " entries; 3 locks needs at most 16).\n";
+    expect(bags_hist == order_hist,
+           "the engines' lock-mix history histograms differ");
+    expect(d.stats().history_spills == 0 && od.stats().history_spills == 0,
+           "the lock mix spills a history");
   }
-  return 0;
+  return ok ? 0 : 1;
 }

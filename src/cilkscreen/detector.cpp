@@ -6,19 +6,21 @@
 
 namespace cilkpp::screen {
 
-detector::detector() {
-  root_ = bags_.create_root();
+template <typename Sp>
+basic_detector<Sp>::basic_detector() {
+  root_ = sp_.create_root();
   const proc_id tree_root = tree_.add_root();
   CILKPP_ASSERT(tree_root == root_, "procedure numbering out of step");
   stats_.procedures = 1;
 }
 
-proc_id detector::enter_spawn(proc_id parent) {
+template <typename Sp>
+proc_id basic_detector<Sp>::enter_spawn(proc_id parent) {
   // Fire before the child exists: any lock still held belongs to the
   // parent's (or an ancestor's) strand crossing this spawn boundary.
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::spawn, parent);
   ++stats_.procedures;
-  const proc_id child = bags_.enter_procedure(parent);
+  const proc_id child = sp_.enter_spawn(parent);
   const proc_id tree_child = tree_.add_spawn(parent);
   CILKPP_ASSERT(tree_child == child, "procedure numbering out of step");
   peds_.on_child(parent, child);  // after the lint boundary: it sees the
@@ -26,35 +28,46 @@ proc_id detector::enter_spawn(proc_id parent) {
   return child;
 }
 
-void detector::exit_spawn(proc_id parent, proc_id child) {
+template <typename Sp>
+void basic_detector<Sp>::exit_spawn(proc_id parent, proc_id child) {
   // The spawned child's strand ends here: locks it acquired and still
   // holds are abandoned.
   if (lint_ != nullptr) lint_->on_procedure_exit(child);
-  bags_.return_spawned(parent, child);
+  sp_.exit_spawn(parent, child);
 }
 
-proc_id detector::enter_call(proc_id parent) {
+template <typename Sp>
+proc_id basic_detector<Sp>::enter_call(proc_id parent) {
   ++stats_.procedures;
-  const proc_id child = bags_.enter_procedure(parent);
+  const proc_id child = sp_.enter_call(parent);
   const proc_id tree_child = tree_.add_call(parent);
   CILKPP_ASSERT(tree_child == child, "procedure numbering out of step");
   peds_.on_child(parent, child);  // a call consumes a parent rank, like spawn
   return child;
 }
 
-void detector::exit_call(proc_id parent, proc_id child) {
-  bags_.return_called(parent, child);
+template <typename Sp>
+void basic_detector<Sp>::exit_call(proc_id parent, proc_id child) {
+  // The callee's implicit sync is the relation's business: a call return
+  // is not a programmer-written strand boundary, so no lint event and no
+  // pedigree rank.
+  sp_.exit_call(parent, child);
 }
 
-void detector::sync(proc_id f) {
+template <typename Sp>
+void basic_detector<Sp>::sync(proc_id f) {
   if (lint_ != nullptr) lint_->on_boundary(lint::boundary::sync, f);
-  bags_.sync(f);
+  sp_.sync(f);
+  // Unconditional, unlike the relations' no-spawn fast paths: the
+  // runtime's rank advances at every sync regardless of pending children.
   peds_.on_sync(f);
 }
 
-void detector::report(race_kind rk, std::uintptr_t addr,
-                      const history_entry<proc_id>& first, proc_id current,
-                      access_kind second_kind, const char* second_label) {
+template <typename Sp>
+void basic_detector<Sp>::report(race_kind rk, std::uintptr_t addr,
+                                const entry& first, proc_id current,
+                                access_kind second_kind,
+                                const char* second_label) {
   ++stats_.races_found;
   if (rk == race_kind::view) ++stats_.view_races;
   if (races_.size() >= max_reports) return;
@@ -82,10 +95,16 @@ void detector::report(race_kind rk, std::uintptr_t addr,
   races_sorted_ = false;
 }
 
-void detector::on_access(proc_id current, const void* addr, std::size_t size,
-                         access_kind kind, const char* label) {
-  const auto parallel = [this](const history_entry<proc_id>& e) {
-    return bags_.in_p_bag(e.strand);
+template <typename Sp>
+void basic_detector<Sp>::on_access(proc_id current, const void* addr,
+                                   std::size_t size, access_kind kind,
+                                   const char* label) {
+  const strand cur = sp_.current(current);
+  const auto parallel_with = [this, cur](const strand& s) {
+    return sp_.parallel(cur, s);
+  };
+  const auto parallel = [this, cur](const entry& e) {
+    return sp_.parallel(cur, e.strand);
   };
   const auto base = reinterpret_cast<std::uintptr_t>(addr);
   const std::uint64_t cur_rank = peds_.rank(current);
@@ -93,13 +112,12 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
   // query; it classifies whole accesses (not bytes), so it runs once per
   // event, before the byte loop.
   if (lens_ != nullptr) {
-    lens_->on_access(current, current, base, size, kind, label,
-                     [this](const proc_id& s) { return bags_.in_p_bag(s); });
+    lens_->on_access(cur, current, base, size, kind, label, parallel_with);
   }
   for (std::size_t k = 0; k < size; ++k) {
     shadow_.cell(base + k).hist.access(
-        current, current, cur_rank, kind, held_, label, parallel,
-        [&](const history_entry<proc_id>& e) {
+        cur, current, cur_rank, kind, held_, label, parallel,
+        [&](const entry& e) {
           report(race_kind::determinacy, base + k, e, current, kind, label);
         },
         stats_);
@@ -109,7 +127,7 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
   // suppress it, because views never take the raw path.
   for (hyper_state& hs : hypers_) {
     if (base + size <= hs.lo || hs.hi <= base) continue;
-    for (const history_entry<proc_id>& e : hs.views.entries()) {
+    for (const entry& e : hs.views.entries()) {
       const bool write_involved =
           e.kind == access_kind::write || kind == access_kind::write;
       if (write_involved && parallel(e)) {
@@ -119,42 +137,43 @@ void detector::on_access(proc_id current, const void* addr, std::size_t size,
     // The serially-ordered counterpart is lint's view-escape check: a view
     // reference cached across a strand boundary.
     if (lint_ != nullptr) {
-      lint_->on_raw_view_access(
-          hs.id, current,
-          [this](const proc_id& s) { return bags_.in_p_bag(s); }, label);
+      lint_->on_raw_view_access(hs.id, current, parallel_with, label);
     }
   }
 }
 
-void detector::on_read(proc_id current, const void* addr, std::size_t size,
-                       const char* label) {
+template <typename Sp>
+void basic_detector<Sp>::on_read(proc_id current, const void* addr,
+                                 std::size_t size, const char* label) {
   ++stats_.reads_checked;
   on_access(current, addr, size, access_kind::read, label);
 }
 
-void detector::on_write(proc_id current, const void* addr, std::size_t size,
-                        const char* label) {
+template <typename Sp>
+void basic_detector<Sp>::on_write(proc_id current, const void* addr,
+                                  std::size_t size, const char* label) {
   ++stats_.writes_checked;
   on_access(current, addr, size, access_kind::write, label);
 }
 
-lock_id detector::register_lock() { return next_lock_++; }
-
-void detector::lock_acquired(proc_id current, lock_id id) {
+template <typename Sp>
+void basic_detector<Sp>::lock_acquired(proc_id current, lock_id id) {
   CILKPP_ASSERT(!lockset_contains(held_, id),
                 "lock acquired twice (not recursive)");
   if (lint_ != nullptr) {
-    // SP-bags answers remembered-vs-current exactly; it cannot order two
-    // remembered strands, so the pair predicate is conservatively true.
+    const strand cur = sp_.current(current);
     lint_->on_acquire(
-        current, current, id,
-        [this](const proc_id& s) { return bags_.in_p_bag(s); },
-        [](const proc_id&, const proc_id&) { return true; });
+        cur, current, id,
+        [this, cur](const strand& s) { return sp_.parallel(cur, s); },
+        [](const strand& earlier, const strand& later) {
+          return Sp::pair_parallel(earlier, later);
+        });
   }
   held_.push_back(id);
 }
 
-void detector::lock_released(proc_id current, lock_id id) {
+template <typename Sp>
+void basic_detector<Sp>::lock_released(proc_id current, lock_id id) {
   for (std::size_t i = 0; i < held_.size(); ++i) {
     if (held_[i] == id) {
       held_.swap_remove(i);
@@ -169,16 +188,20 @@ void detector::lock_released(proc_id current, lock_id id) {
   if (lint_ != nullptr) lint_->on_unmatched_release(current, id);
 }
 
-detector::hyper_state* detector::find_hyper(const rt::hyperobject_base& h) {
+template <typename Sp>
+typename basic_detector<Sp>::hyper_state* basic_detector<Sp>::find_hyper(
+    const rt::hyperobject_base& h) {
   for (hyper_state& hs : hypers_) {
     if (hs.id == &h) return &hs;
   }
   return nullptr;
 }
 
-void detector::register_hyperobject(const rt::hyperobject_base& h,
-                                    const void* base, std::size_t size,
-                                    const char* label) {
+template <typename Sp>
+void basic_detector<Sp>::register_hyperobject(const rt::hyperobject_base& h,
+                                              const void* base,
+                                              std::size_t size,
+                                              const char* label) {
   const auto lo = reinterpret_cast<std::uintptr_t>(base);
   // The hyperobject's value bytes are a runtime-owned region: co-residency
   // with a neighboring structure is a padding lint (memlens/analyzer.hpp).
@@ -194,20 +217,23 @@ void detector::register_hyperobject(const rt::hyperobject_base& h,
   hypers_.push_back({&h, lo, lo + size, label, {}});
 }
 
-void detector::on_view_access(proc_id current, const rt::hyperobject_base& h,
-                              const void* base, std::size_t size,
-                              access_kind kind, const char* label) {
+template <typename Sp>
+void basic_detector<Sp>::on_view_access(proc_id current,
+                                        const rt::hyperobject_base& h,
+                                        const void* base, std::size_t size,
+                                        access_kind kind, const char* label) {
+  const strand cur = sp_.current(current);
   register_hyperobject(h, base, size, label);
   hyper_state& hs = *find_hyper(h);
   ++stats_.view_accesses;
-  const auto parallel = [this](const history_entry<proc_id>& e) {
-    return bags_.in_p_bag(e.strand);
+  const auto parallel = [this, cur](const entry& e) {
+    return sp_.parallel(cur, e.strand);
   };
   // A remembered raw access logically parallel with this view access is a
   // view race (the raw strand bypassed the reducer).
   for (std::uintptr_t byte = hs.lo; byte < hs.hi; ++byte) {
     if (shadow_cell* c = shadow_.find(byte)) {
-      for (const history_entry<proc_id>& e : c->hist.entries()) {
+      for (const entry& e : c->hist.entries()) {
         const bool write_involved =
             e.kind == access_kind::write || kind == access_kind::write;
         if (write_involved && parallel(e)) {
@@ -221,20 +247,23 @@ void detector::on_view_access(proc_id current, const rt::hyperobject_base& h,
   // raw-vs-view check above and its mirror in on_access. Views are recorded
   // with an empty lockset: a lock never protects against a view race.
   const std::uint64_t cur_rank = peds_.rank(current);
-  hs.views.access(current, current, cur_rank, kind, lockset{}, hs.label,
-                  parallel, [](const history_entry<proc_id>&) {}, stats_);
+  hs.views.access(cur, current, cur_rank, kind, lockset{}, hs.label, parallel,
+                  [](const entry&) {}, stats_);
 }
 
-void detector::on_view_fetch(proc_id current, const rt::hyperobject_base& h,
-                             const void* base, std::size_t size,
-                             const char* label) {
+template <typename Sp>
+void basic_detector<Sp>::on_view_fetch(proc_id current,
+                                       const rt::hyperobject_base& h,
+                                       const void* base, std::size_t size,
+                                       const char* label) {
   register_hyperobject(h, base, size, label);
   if (lint_ == nullptr) return;
-  lint_->on_view_fetch(&h, current, current,
+  lint_->on_view_fetch(&h, sp_.current(current), current,
                        reinterpret_cast<std::uintptr_t>(base), label);
 }
 
-const std::vector<race_record>& detector::races() const {
+template <typename Sp>
+const std::vector<race_record>& basic_detector<Sp>::races() const {
   if (!races_sorted_) {
     std::sort(races_.begin(), races_.end(), race_report_order);
     races_sorted_ = true;
@@ -242,7 +271,8 @@ const std::vector<race_record>& detector::races() const {
   return races_;
 }
 
-std::vector<std::uint64_t> detector::history_histogram() const {
+template <typename Sp>
+std::vector<std::uint64_t> basic_detector<Sp>::history_histogram() const {
   std::vector<std::uint64_t> histogram;
   shadow_.for_each([&](std::uintptr_t, const shadow_cell& c) {
     const std::size_t n = c.hist.entries().size();
@@ -251,5 +281,8 @@ std::vector<std::uint64_t> detector::history_histogram() const {
   });
   return histogram;
 }
+
+template class basic_detector<sp_bags>;
+template class basic_detector<sp_order>;
 
 }  // namespace cilkpp::screen

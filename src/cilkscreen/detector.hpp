@@ -12,7 +12,13 @@
 // (Pin); this reproduction intercepts through source-level hooks instead —
 // screen::cell<T> wrappers or explicit on_read/on_write calls — which feed
 // the identical algorithm (DESIGN.md substitution #3). Detection combines:
-//   * SP-bags for series-parallel relationships (spbags.hpp);
+//   * a series-parallel relation, the template parameter Sp: SP-bags
+//     (spbags.hpp, what Cilkscreen shipped — screen::detector) or SP-order
+//     (sporder.hpp, the paper's ref [2] — screen::order_detector). The
+//     relation owns the strand identity, the parallel-control events and
+//     the query "is this remembered strand parallel with the current one";
+//     everything below is one code path for both, so each engine is the
+//     other's reference in the cross-engine tests;
 //   * ALL-SETS access histories (history.hpp): each shadow location keeps
 //     one remembered access per distinct non-subsumed lockset, so the
 //     guarantee above holds even when the same location is touched under
@@ -34,6 +40,7 @@
 #include "cilkscreen/report.hpp"
 #include "cilkscreen/shadow.hpp"
 #include "cilkscreen/spbags.hpp"
+#include "cilkscreen/sporder.hpp"
 #include "lint/analyzer.hpp"
 #include "memlens/analyzer.hpp"
 
@@ -43,12 +50,17 @@ struct hyperobject_base;  // identity only; defined in runtime/hyper_iface.hpp
 
 namespace cilkpp::screen {
 
-class detector {
+template <typename Sp>
+class basic_detector {
  public:
-  detector();
+  /// The relation's strand identity: a procedure id (SP-bags) or a
+  /// Hebrew-order node (SP-order).
+  using strand = typename Sp::strand;
 
-  detector(const detector&) = delete;
-  detector& operator=(const detector&) = delete;
+  basic_detector();
+
+  basic_detector(const basic_detector&) = delete;
+  basic_detector& operator=(const basic_detector&) = delete;
 
   // --- Parallel-control events (driven by screen_context). ---
   proc_id root() const { return root_; }
@@ -66,7 +78,7 @@ class detector {
 
   // --- Lock events (execution is serial: one global current lockset).
   // `current` is the acquiring/releasing procedure, for lint provenance. ---
-  lock_id register_lock();
+  lock_id register_lock() { return next_lock_++; }
   void lock_acquired(proc_id current, lock_id id);
   void lock_released(proc_id current, lock_id id);
 
@@ -86,11 +98,11 @@ class detector {
                       const char* label = nullptr);
 
   // --- Lock-discipline analysis (cilk::lint). ---
-  /// The lint analyzer for this engine: strands are identified by proc_id,
-  /// and the SP-bags pair-parallel predicate is conservative (SP-bags can
-  /// only order a remembered strand against the CURRENT one) — see
-  /// lint/analyzer.hpp.
-  using lint_analyzer = lint::analyzer<proc_id>;
+  /// The lint analyzer for this engine. Its pair-parallel predicate is the
+  /// relation's: exact under SP-order, conservatively true under SP-bags,
+  /// which can only order a remembered strand against the CURRENT one —
+  /// see lint/analyzer.hpp.
+  using lint_analyzer = lint::analyzer<strand>;
   /// Attaches (nullptr: detaches) an analyzer; it receives every lock,
   /// boundary, and view-identity event from here on. The analyzer must
   /// outlive its attachment; call la->finish() after the run.
@@ -107,10 +119,12 @@ class detector {
                      const char* label = nullptr);
 
   // --- Cache-line sharing analysis (cilk::memlens). ---
-  /// The memlens analyzer for this engine: strands are identified by
-  /// proc_id and the remembered-vs-current parallel predicate is the
-  /// engine's own (exact) race query — see memlens/analyzer.hpp.
-  using memlens_analyzer = memlens::analyzer<proc_id>;
+  /// The memlens analyzer for this engine: the remembered-vs-current
+  /// parallel predicate is the relation's own (exact) race query. Accessor
+  /// identity inside the analyzer is (proc, pedigree rank), the same under
+  /// both relations, which is what makes the two engines' lens reports
+  /// bit-identical — see memlens/analyzer.hpp.
+  using memlens_analyzer = memlens::analyzer<strand>;
   /// Attaches (nullptr: detaches) an analyzer; it receives every
   /// instrumented access and registered region from here on. The analyzer
   /// must outlive its attachment; call ml->finish() after the run.
@@ -136,6 +150,9 @@ class detector {
   const proc_tree& procedures() const { return tree_; }
   /// histogram[n] = number of touched shadow bytes remembering n accesses.
   std::vector<std::uint64_t> history_histogram() const;
+  /// The series-parallel relation, for its own counters
+  /// (sp_order::relabel_count).
+  const Sp& relation() const { return sp_; }
   /// Pedigree bookkeeping (one entry per procedure, same rank rules as the
   /// runtime — reports carry these so they compare across engines/runs).
   const ped::proc_pedigrees& pedigrees() const { return peds_; }
@@ -148,24 +165,25 @@ class detector {
   static constexpr std::size_t max_reports = 1000;
 
  private:
+  using entry = history_entry<strand>;
   struct shadow_cell {
-    access_history<proc_id> hist;
+    access_history<strand> hist;
   };
   struct hyper_state {
     const rt::hyperobject_base* id = nullptr;
     std::uintptr_t lo = 0, hi = 0;  // the value's bytes, [lo, hi)
     const char* label = nullptr;
-    access_history<proc_id> views;
+    access_history<strand> views;
   };
 
   void on_access(proc_id current, const void* addr, std::size_t size,
                  access_kind kind, const char* label);
-  void report(race_kind rk, std::uintptr_t addr,
-              const history_entry<proc_id>& first, proc_id current,
-              access_kind second_kind, const char* second_label);
+  void report(race_kind rk, std::uintptr_t addr, const entry& first,
+              proc_id current, access_kind second_kind,
+              const char* second_label);
   hyper_state* find_hyper(const rt::hyperobject_base& h);
 
-  sp_bags bags_;
+  Sp sp_;
   lint_analyzer* lint_ = nullptr;
   memlens_analyzer* lens_ = nullptr;
   ped::proc_pedigrees peds_;
@@ -180,5 +198,13 @@ class detector {
   std::unordered_set<std::uint64_t> reported_;  // dedup per (address, kinds)
   detector_stats stats_;
 };
+
+// Both engines are compiled once, in detector.cpp.
+extern template class basic_detector<sp_bags>;
+extern template class basic_detector<sp_order>;
+
+/// SP-bags (what Cilkscreen shipped) and SP-order (paper ref [2]).
+using detector = basic_detector<sp_bags>;
+using order_detector = basic_detector<sp_order>;
 
 }  // namespace cilkpp::screen

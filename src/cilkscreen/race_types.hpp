@@ -1,7 +1,7 @@
 // Shared vocabulary of the race-detection engines: procedure ids, locksets,
-// access kinds, race reports, and engine statistics. Both engines (SP-bags in
-// detector.hpp, SP-order in sporder.hpp) speak these types, so contexts,
-// tests, and the report renderer are engine-agnostic.
+// access kinds, race reports, and engine statistics. Both engines
+// (basic_detector in detector.hpp, over SP-bags or SP-order) speak these
+// types, so contexts, tests, and the report renderer are engine-agnostic.
 #pragma once
 
 #include <algorithm>

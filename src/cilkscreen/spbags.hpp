@@ -55,6 +55,25 @@ class sp_bags {
 
   std::size_t num_procedures() const { return parent_.size(); }
 
+  // --- The series-parallel relation basic_detector drives (detector.hpp).
+  // Strands are procedure ids. ---
+  using strand = proc_id;
+  proc_id enter_spawn(proc_id parent) { return enter_procedure(parent); }
+  void exit_spawn(proc_id parent, proc_id child) {
+    return_spawned(parent, child);
+  }
+  proc_id enter_call(proc_id parent) { return enter_procedure(parent); }
+  void exit_call(proc_id parent, proc_id child) {
+    return_called(parent, child);
+  }
+  strand current(proc_id p) const { return p; }
+  bool parallel(strand /*current*/, strand remembered) {
+    return in_p_bag(remembered);
+  }
+  /// SP-bags orders a remembered strand only against the CURRENT one, so
+  /// two remembered strands are conservatively parallel.
+  static bool pair_parallel(strand, strand) { return true; }
+
  private:
   enum class bag_kind : std::uint8_t { s_bag, p_bag };
 

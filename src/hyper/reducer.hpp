@@ -49,33 +49,12 @@ concept routes_views = requires(Ctx& ctx, rt::hyperobject_base& h) {
 /// reported to the detector — by hyperobject identity — so reducer-routed
 /// updates are certified race-free while raw accesses that bypass the
 /// reducer in parallel are flagged as view races (paper Sec. 4's
-/// "Cilkscreen understands reducer hyperobjects").
+/// "Cilkscreen understands reducer hyperobjects"). A screen context also
+/// takes the lint and memlens hooks view() calls before the access.
 template <typename Ctx>
 concept screens_views = requires(Ctx& ctx, rt::hyperobject_base& h,
                                  const void* base) {
   ctx.note_view_access(h, base, std::size_t{}, true, (const char*)nullptr);
-};
-
-/// Detects screen contexts with the lint view-identity hook (present when
-/// the lint layer is compiled in): view() additionally reports that this
-/// strand OBTAINED the view, so an attached lint::analyzer can flag the
-/// reference escaping to a serially-later strand — the caching bug the
-/// "re-fetch after spawn or sync" rule below exists to prevent.
-template <typename Ctx>
-concept lints_views = requires(Ctx& ctx, rt::hyperobject_base& h,
-                               const void* base) {
-  ctx.note_view_fetch(h, base, std::size_t{}, (const char*)nullptr);
-};
-
-/// Detects screen contexts with the memlens region hook (present when the
-/// memlens layer is compiled in): view() additionally registers the view
-/// slot's bytes as a runtime-owned region, so an attached memlens::analyzer
-/// can lint view slots of DIFFERENT reducers landing on one cache line —
-/// the classic "two adjacent counters ping-pong one line" false-sharing
-/// shape, caught structurally before any parallel traffic shows it.
-template <typename Ctx>
-concept lenses_views = requires(Ctx& ctx, const void* base) {
-  ctx.note_lens_region(base, std::size_t{}, (const char*)nullptr);
 };
 
 template <monoid M>
@@ -112,14 +91,16 @@ class reducer final : public rt::hyperobject_base {
       // Under a race-detection engine the serial leftmost value IS the
       // current view; report the access (as a write — the caller gets a
       // mutable reference) so raw bypasses of this reducer are caught.
+      // Before it: this strand OBTAINED the view, so an attached
+      // lint::analyzer can flag the reference escaping to a serially-later
+      // strand (the caching bug the "re-fetch after spawn or sync" rule
+      // above exists to prevent); and the view slot's bytes are a
+      // runtime-owned region, so an attached memlens::analyzer can lint
+      // view slots of different reducers landing on one cache line.
       value_type& leftmost = leftmost_.value;
-      if constexpr (lints_views<Ctx>) {
-        ctx.note_view_fetch(*this, &leftmost, sizeof(leftmost),
-                            this->debug_label());
-      }
-      if constexpr (lenses_views<Ctx>) {
-        ctx.note_lens_region(&leftmost, sizeof(leftmost), this->debug_label());
-      }
+      ctx.note_view_fetch(*this, &leftmost, sizeof(leftmost),
+                          this->debug_label());
+      ctx.note_lens_region(&leftmost, sizeof(leftmost), this->debug_label());
       ctx.note_view_access(*this, &leftmost, sizeof(leftmost),
                            /*is_write=*/true, this->debug_label());
       return leftmost;

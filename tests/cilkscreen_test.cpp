@@ -5,7 +5,9 @@
 // under the dag recorder; for every variable, the detector must flag a race
 // exactly when the dag says two accesses (one a write) are logically
 // parallel — the paper's guarantee that an exposed race is always reported,
-// and that race-free programs are never accused.
+// and that race-free programs are never accused. The directed Detector
+// cases run typed over both engines, SP-bags (detector) and SP-order
+// (order_detector).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -70,15 +72,27 @@ TEST(SpBags, NestedSpawnResolvedByInnerImplicitSync) {
   EXPECT_TRUE(bags.in_p_bag(b));
 }
 
-// --- Detector on the paper's examples. ---
+// --- Detector on the paper's examples, typed over both engines: SP-bags
+// --- (detector) and SP-order (order_detector) share every code path but
+// --- the series-parallel query, so each case runs under both.
+
+template <typename D>
+class Detector : public ::testing::Test {
+ protected:
+  using Ctx = basic_screen_context<D>;
+  using Mutex = basic_screen_mutex<D>;
+};
+using Engines = ::testing::Types<detector, order_detector>;
+TYPED_TEST_SUITE(Detector, Engines);
 
 // Fig. 5: the naive parallel tree walk pushing to a global list — racy.
 // Modeled minimally: two spawned strands both update one cell.
-TEST(Detector, Figure5NaiveTreeWalkRaces) {
-  detector d;
+TYPED_TEST(Detector, Figure5NaiveTreeWalkRaces) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cell<int> output_list_size(0, "output_list");
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) {
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) {
       output_list_size.update(c, [](int& v) { ++v; });
     });
     output_list_size.update(ctx, [](int& v) { ++v; });  // continuation
@@ -91,12 +105,14 @@ TEST(Detector, Figure5NaiveTreeWalkRaces) {
 }
 
 // Fig. 6: the same updates protected by a common mutex — suppressed.
-TEST(Detector, Figure6MutexProtectedWalkIsQuiet) {
-  detector d;
+TYPED_TEST(Detector, Figure6MutexProtectedWalkIsQuiet) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cell<int> output_list_size(0, "output_list");
-  screen_mutex L(d);
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) {
+  Mutex L(d);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) {
       L.lock(c);
       output_list_size.update(c, [](int& v) { ++v; });
       L.unlock(c);
@@ -113,15 +129,17 @@ TEST(Detector, Figure6MutexProtectedWalkIsQuiet) {
 // Regression: a release with no matching acquisition used to hit
 // CILKPP_UNREACHABLE and abort the process; it is now counted (and, with a
 // lint analyzer attached, reported) while detection continues unharmed.
-TEST(Detector, DoubleReleaseNoLongerAborts) {
-  detector d;
+TYPED_TEST(Detector, DoubleReleaseNoLongerAborts) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cell<int> shared(0);
-  screen_mutex L(d);
-  run_under_detector(d, [&](screen_context& ctx) {
+  Mutex L(d);
+  run_under_detector(d, [&](Ctx& ctx) {
     L.lock(ctx);
     L.unlock(ctx);
     L.unlock(ctx);  // unmatched
-    ctx.spawn([&](screen_context& c) { shared.set(c, 1); });
+    ctx.spawn([&](Ctx& c) { shared.set(c, 1); });
     ctx.sync();
     shared.get(ctx);
   });
@@ -129,12 +147,14 @@ TEST(Detector, DoubleReleaseNoLongerAborts) {
   EXPECT_FALSE(d.found_races());  // detection kept working past it
 }
 
-TEST(Detector, DifferentLocksDoNotSuppress) {
-  detector d;
+TYPED_TEST(Detector, DifferentLocksDoNotSuppress) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  screen_mutex l1(d), l2(d);
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) {
+  Mutex l1(d), l2(d);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) {
       l1.lock(c);
       shared.update(c, [](int& v) { ++v; });
       l1.unlock(c);
@@ -153,17 +173,19 @@ TEST(Detector, DifferentLocksDoNotSuppress) {
 
 // Acceptance scenario: two parallel reads under locks {A} and {B}, then an
 // unlocked write parallel with both.
-TEST(Detector, TwoLockedReadersThenUnlockedWriteRaces) {
-  detector d;
+TYPED_TEST(Detector, TwoLockedReadersThenUnlockedWriteRaces) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  screen_mutex A(d), B(d);
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) {
+  Mutex A(d), B(d);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) {
       A.lock(c);
       (void)shared.get(c);
       A.unlock(c);
     });
-    ctx.spawn([&](screen_context& c) {
+    ctx.spawn([&](Ctx& c) {
       B.lock(c);
       (void)shared.get(c);
       B.unlock(c);
@@ -177,17 +199,19 @@ TEST(Detector, TwoLockedReadersThenUnlockedWriteRaces) {
 // The sharper version: the write itself holds lock A. A last-reader-only
 // cell remembers the {A} reader (first parallel reader), sees the common
 // lock, and stays silent — forgetting the {B} reader the write races with.
-TEST(Detector, WriteUnderLockARacesWithForgottenLockBReader) {
-  detector d;
+TYPED_TEST(Detector, WriteUnderLockARacesWithForgottenLockBReader) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  screen_mutex A(d), B(d);
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) {
+  Mutex A(d), B(d);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) {
       A.lock(c);
       (void)shared.get(c);
       A.unlock(c);
     });
-    ctx.spawn([&](screen_context& c) {
+    ctx.spawn([&](Ctx& c) {
       B.lock(c);
       (void)shared.get(c);
       B.unlock(c);
@@ -204,24 +228,26 @@ TEST(Detector, WriteUnderLockARacesWithForgottenLockBReader) {
 // Write-write variant: a parallel write under {A,B} overwrote the seed
 // detector's writer slot; the later {B} reader then only got checked
 // against it (common lock B) and the original {A} writer was forgotten.
-TEST(Detector, InterveningSupersetWriterDoesNotMaskOlderWriter) {
-  detector d;
+TYPED_TEST(Detector, InterveningSupersetWriterDoesNotMaskOlderWriter) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  screen_mutex A(d), B(d);
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) {
+  Mutex A(d), B(d);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) {
       A.lock(c);
       shared.set(c, 1);
       A.unlock(c);
     });
-    ctx.spawn([&](screen_context& c) {
+    ctx.spawn([&](Ctx& c) {
       A.lock(c);
       B.lock(c);
       shared.set(c, 2);  // common lock A with the first writer: no race yet
       B.unlock(c);
       A.unlock(c);
     });
-    ctx.spawn([&](screen_context& c) {
+    ctx.spawn([&](Ctx& c) {
       B.lock(c);
       (void)shared.get(c);  // races with the {A} writer, not the {A,B} one
       B.unlock(c);
@@ -233,13 +259,15 @@ TEST(Detector, InterveningSupersetWriterDoesNotMaskOlderWriter) {
 
 // Consistent single-lock discipline must stay quiet even though the
 // histories now remember several accesses per location.
-TEST(Detector, ConsistentLockDisciplineStillQuietWithHistories) {
-  detector d;
+TYPED_TEST(Detector, ConsistentLockDisciplineStillQuietWithHistories) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  screen_mutex A(d);
-  run_under_detector(d, [&](screen_context& ctx) {
+  Mutex A(d);
+  run_under_detector(d, [&](Ctx& ctx) {
     for (int i = 0; i < 6; ++i) {
-      ctx.spawn([&](screen_context& c) {
+      ctx.spawn([&](Ctx& c) {
         A.lock(c);
         shared.update(c, [](int& v) { ++v; });
         A.unlock(c);
@@ -254,19 +282,21 @@ TEST(Detector, ConsistentLockDisciplineStillQuietWithHistories) {
 // The explicit spill policy: more distinct locksets than history_capacity
 // on one location drops the excess (counted), but never invents races and
 // still reports against the retained entries.
-TEST(Detector, HistorySpillIsCountedAndStaysSound) {
+TYPED_TEST(Detector, HistorySpillIsCountedAndStaysSound) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
   constexpr unsigned nlocks = 8;
-  detector d;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  std::vector<screen_mutex> locks;
+  std::vector<Mutex> locks;
   locks.reserve(nlocks);
   for (unsigned i = 0; i < nlocks; ++i) locks.emplace_back(d);
-  run_under_detector(d, [&](screen_context& ctx) {
+  run_under_detector(d, [&](Ctx& ctx) {
     // Every 4-element subset of 8 locks: C(8,4) = 70 pairwise-incomparable
     // locksets, each remembered unless the history is full (capacity 32).
     for (unsigned mask = 0; mask < (1u << nlocks); ++mask) {
       if (__builtin_popcount(mask) != 4) continue;
-      ctx.spawn([&, mask](screen_context& c) {
+      ctx.spawn([&, mask](Ctx& c) {
         for (unsigned l = 0; l < nlocks; ++l)
           if (mask & (1u << l)) locks[l].lock(c);
         (void)shared.get(c);
@@ -284,12 +314,13 @@ TEST(Detector, HistorySpillIsCountedAndStaysSound) {
 
 // --- Reducer awareness (paper Sec. 5). ---
 
-TEST(Detector, ReducerUpdatesAreCertifiedRaceFree) {
-  detector d;
+TYPED_TEST(Detector, ReducerUpdatesAreCertifiedRaceFree) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cilk::reducer<cilk::hyper::opadd<int>> sum;
-  run_under_detector(d, [&](screen_context& ctx) {
+  run_under_detector(d, [&](Ctx& ctx) {
     for (int i = 0; i < 8; ++i) {
-      ctx.spawn([&](screen_context& c) { sum.view(c) += 1; });
+      ctx.spawn([&](Ctx& c) { sum.view(c) += 1; });
     }
     ctx.sync();
   });
@@ -298,11 +329,12 @@ TEST(Detector, ReducerUpdatesAreCertifiedRaceFree) {
   EXPECT_EQ(sum.value(), 8);
 }
 
-TEST(Detector, RawWriteParallelWithViewAccessIsViewRace) {
-  detector d;
+TYPED_TEST(Detector, RawWriteParallelWithViewAccessIsViewRace) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cilk::reducer<cilk::hyper::opadd<int>> sum;
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) { sum.view(c) += 1; });
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { sum.view(c) += 1; });
     // The continuation bypasses the reducer while the child is in flight.
     ctx.note_write(&sum.value(), sizeof(int), "raw bypass");
     sum.value() += 1;
@@ -315,14 +347,15 @@ TEST(Detector, RawWriteParallelWithViewAccessIsViewRace) {
   EXPECT_EQ(d.stats().view_races, d.stats().races_found);
 }
 
-TEST(Detector, RawAccessBeforeFirstViewAccessIsAlsoCaught) {
-  detector d;
+TYPED_TEST(Detector, RawAccessBeforeFirstViewAccessIsAlsoCaught) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cilk::reducer<cilk::hyper::opadd<int>> sum;
   // Registration is lazy (first view access), so pre-register to associate
   // the raw write that happens before any view exists.
   d.register_hyperobject(sum, &sum.value(), sizeof(int), "sum");
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) {
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) {
       c.note_write(&sum.value(), sizeof(int), "raw bypass");
       sum.value() += 1;
     });
@@ -334,11 +367,12 @@ TEST(Detector, RawAccessBeforeFirstViewAccessIsAlsoCaught) {
   EXPECT_EQ(d.races().front().first_label, "raw bypass");
 }
 
-TEST(Detector, RawAccessSerialWithViewsIsNotAViewRace) {
-  detector d;
+TYPED_TEST(Detector, RawAccessSerialWithViewsIsNotAViewRace) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cilk::reducer<cilk::hyper::opadd<int>> sum;
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) { sum.view(c) += 1; });
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { sum.view(c) += 1; });
     ctx.sync();
     // After the sync the strand is serial with every view update.
     ctx.note_read(&sum.value(), sizeof(int), "serial readback");
@@ -349,12 +383,14 @@ TEST(Detector, RawAccessSerialWithViewsIsNotAViewRace) {
 
 // A mutex cannot fix a view race: views never take the raw path, so lock
 // suppression must not apply.
-TEST(Detector, LockDoesNotSuppressViewRace) {
-  detector d;
+TYPED_TEST(Detector, LockDoesNotSuppressViewRace) {
+  using Ctx = typename TestFixture::Ctx;
+  using Mutex = typename TestFixture::Mutex;
+  TypeParam d;
   cilk::reducer<cilk::hyper::opadd<int>> sum;
-  screen_mutex L(d);
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) { sum.view(c) += 1; });
+  Mutex L(d);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { sum.view(c) += 1; });
     L.lock(ctx);
     ctx.note_write(&sum.value(), sizeof(int), "locked bypass");
     sum.value() += 1;
@@ -365,13 +401,14 @@ TEST(Detector, LockDoesNotSuppressViewRace) {
   EXPECT_EQ(d.races().front().kind, race_kind::view);
 }
 
-TEST(Detector, ParallelReadsAreNotARace) {
-  detector d;
+TYPED_TEST(Detector, ParallelReadsAreNotARace) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cell<int> shared(7, "shared");
   int sum = 0;
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) { sum += shared.get(c); });
-    ctx.spawn([&](screen_context& c) { sum += shared.get(c); });
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { sum += shared.get(c); });
+    ctx.spawn([&](Ctx& c) { sum += shared.get(c); });
     sum += shared.get(ctx);
     ctx.sync();
   });
@@ -379,33 +416,88 @@ TEST(Detector, ParallelReadsAreNotARace) {
   EXPECT_EQ(sum, 21);
 }
 
-TEST(Detector, WriteThenSyncThenReadIsSerial) {
-  detector d;
+TYPED_TEST(Detector, WriteThenSyncThenReadIsSerial) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) { shared.set(c, 5); });
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { shared.set(c, 5); });
     ctx.sync();
     EXPECT_EQ(shared.get(ctx), 5);
   });
   EXPECT_FALSE(d.found_races());
 }
 
-TEST(Detector, ReadWriteRaceAcrossSpawn) {
-  detector d;
+TYPED_TEST(Detector, ReadWriteRaceAcrossSpawn) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cell<int> shared(0, "shared");
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) { (void)shared.get(c); });
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { (void)shared.get(c); });
     shared.set(ctx, 1);  // continuation writes while child may read
     ctx.sync();
   });
   EXPECT_TRUE(d.found_races());
 }
 
-TEST(Detector, ParallelForDisjointWritesAreQuiet) {
-  detector d;
+TYPED_TEST(Detector, CalledFrameIsSerial) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
+  cell<int> shared(0);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.call([&](Ctx& c) { shared.set(c, 1); });
+    shared.set(ctx, 2);  // serial after the call: no race
+  });
+  EXPECT_FALSE(d.found_races());
+}
+
+TYPED_TEST(Detector, SecondSyncBlockIndependentOfFirst) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
+  cell<int> a(0), b(0);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { a.set(c, 1); });
+    ctx.sync();
+    ctx.spawn([&](Ctx& c) { b.set(c, 1); });
+    a.set(ctx, 2);  // serial w.r.t. first block's child; parallel to none
+    ctx.sync();
+  });
+  EXPECT_FALSE(d.found_races());
+}
+
+TYPED_TEST(Detector, SiblingChildrenAreParallel) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
+  cell<int> shared(0);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { shared.set(c, 1); });
+    ctx.spawn([&](Ctx& c) { shared.set(c, 2); });
+    ctx.sync();
+  });
+  EXPECT_TRUE(d.found_races());
+}
+
+TYPED_TEST(Detector, DeepNestingResolvedByImplicitSyncs) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
+  cell<int> shared(0);
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& outer) {
+      outer.spawn([&](Ctx& inner) { shared.set(inner, 1); });
+      outer.sync();
+    });
+    ctx.sync();
+    shared.set(ctx, 2);  // fully serial after the sync chain
+  });
+  EXPECT_FALSE(d.found_races());
+}
+
+TYPED_TEST(Detector, ParallelForDisjointWritesAreQuiet) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   std::vector<cell<int>> data(64);
-  run_under_detector(d, [&](screen_context& ctx) {
-    parallel_for(ctx, 0, 64, [&](screen_context& leaf, int i) {
+  run_under_detector(d, [&](Ctx& ctx) {
+    parallel_for(ctx, 0, 64, [&](Ctx& leaf, int i) {
       data[static_cast<std::size_t>(i)].set(leaf, i);
     }, 4);
   });
@@ -413,11 +505,12 @@ TEST(Detector, ParallelForDisjointWritesAreQuiet) {
   EXPECT_EQ(d.stats().writes_checked, 64u);
 }
 
-TEST(Detector, ParallelForSharedAccumulatorRaces) {
-  detector d;
+TYPED_TEST(Detector, ParallelForSharedAccumulatorRaces) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cell<int> acc(0, "acc");
-  run_under_detector(d, [&](screen_context& ctx) {
-    parallel_for(ctx, 0, 16, [&](screen_context& leaf, int) {
+  run_under_detector(d, [&](Ctx& ctx) {
+    parallel_for(ctx, 0, 16, [&](Ctx& leaf, int) {
       acc.update(leaf, [](int& v) { ++v; });
     }, 1);
   });
@@ -428,7 +521,8 @@ TEST(Detector, ParallelForSharedAccumulatorRaces) {
 // `middle-1` makes the two recursive subproblems overlap by one element —
 // "the resulting serial code is still correct, but the parallel code now
 // contains a race bug".
-void screen_qsort(screen_context& ctx, std::vector<cell<int>>& a, int lo, int hi,
+template <typename Ctx>
+void screen_qsort(Ctx& ctx, std::vector<cell<int>>& a, int lo, int hi,
                   bool buggy) {
   if (hi - lo < 2) return;
   const int pivot = a[static_cast<std::size_t>(lo)].get(ctx);
@@ -447,21 +541,22 @@ void screen_qsort(screen_context& ctx, std::vector<cell<int>>& a, int lo, int hi
 
   const int left_end = mid;
   const int right_begin = buggy ? std::max(lo + 1, mid - 1) : mid + 1;
-  ctx.spawn([&, lo, left_end, buggy](screen_context& c) {
+  ctx.spawn([&, lo, left_end, buggy](Ctx& c) {
     screen_qsort(c, a, lo, left_end, buggy);
   });
   screen_qsort(ctx, a, right_begin, hi, buggy);
   ctx.sync();
 }
 
-TEST(Detector, MutatedQsortRaceDetectedCleanQsortQuiet) {
+TYPED_TEST(Detector, MutatedQsortRaceDetectedCleanQsortQuiet) {
+  using Ctx = typename TestFixture::Ctx;
   xoshiro256 rng(2026);
   for (bool buggy : {false, true}) {
-    detector d;
+    TypeParam d;
     std::vector<cell<int>> a;
     for (int i = 0; i < 64; ++i)
       a.emplace_back(static_cast<int>(rng.below(1000)));
-    run_under_detector(d, [&](screen_context& ctx) {
+    run_under_detector(d, [&](Ctx& ctx) {
       screen_qsort(ctx, a, 0, 64, buggy);
     });
     if (buggy) {
@@ -576,15 +671,16 @@ TEST_P(RandomPrograms, SpBagsMatchesDagGroundTruth) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
                          ::testing::Range<std::uint64_t>(1, 41));
 
-TEST(Detector, ShadowMemoryGrowthKeepsVerdictsExact) {
+TYPED_TEST(Detector, ShadowMemoryGrowthKeepsVerdictsExact) {
+  using Ctx = typename TestFixture::Ctx;
   // 100k distinct instrumented addresses force many shadow-table rehashes;
   // verdicts must stay exact: disjoint parallel writes are quiet, and one
   // deliberately shared cell still races.
-  detector d;
+  TypeParam d;
   std::vector<cell<int>> cells(100000);
   cell<int> shared(0, "shared");
-  run_under_detector(d, [&](screen_context& ctx) {
-    parallel_for(ctx, 0, 100000, [&](screen_context& leaf, int i) {
+  run_under_detector(d, [&](Ctx& ctx) {
+    parallel_for(ctx, 0, 100000, [&](Ctx& leaf, int i) {
       cells[static_cast<std::size_t>(i)].set(leaf, i);
       if (i % 50000 == 1) shared.set(leaf, i);
     }, 512);
@@ -599,11 +695,12 @@ TEST(Detector, ShadowMemoryGrowthKeepsVerdictsExact) {
   EXPECT_EQ(d.stats().writes_checked, 100002u);
 }
 
-TEST(DetectorStats, CountsAccessesAndProcedures) {
-  detector d;
+TYPED_TEST(Detector, CountsAccessesAndProcedures) {
+  using Ctx = typename TestFixture::Ctx;
+  TypeParam d;
   cell<int> x(0);
-  run_under_detector(d, [&](screen_context& ctx) {
-    ctx.spawn([&](screen_context& c) { x.set(c, 1); });
+  run_under_detector(d, [&](Ctx& ctx) {
+    ctx.spawn([&](Ctx& c) { x.set(c, 1); });
     ctx.sync();
     (void)x.get(ctx);
   });

@@ -1,7 +1,8 @@
 // Tests for the SP-order engine (paper ref [2]): the order-maintenance
-// list, the order_detector's verdicts on the paper's examples, and the
-// three-way property test — SP-order vs SP-bags vs dag-reachability ground
-// truth on random series-parallel programs.
+// list and the three-way property test — SP-order vs SP-bags vs
+// dag-reachability ground truth on random series-parallel programs. The
+// detector's verdicts on the paper's examples run typed over both engines
+// in cilkscreen_test.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,7 +12,6 @@
 #include "dag/analysis.hpp"
 #include "dag/builder.hpp"
 #include "dag/recorder.hpp"
-#include "hyper/reducer.hpp"
 #include "support/rng.hpp"
 
 namespace cilkpp::screen {
@@ -75,204 +75,6 @@ TEST(OmList, RandomInsertionsMatchReferenceOrder) {
   for (std::size_t i = 0; i + 1 < order.size(); ++i) {
     ASSERT_TRUE(om_list::precedes(order[i], order[i + 1])) << "position " << i;
   }
-}
-
-// --- order_detector on the paper's examples (mirrors the SP-bags tests).
-
-TEST(OrderDetector, Figure5NaiveTreeWalkRaces) {
-  order_detector d;
-  cell<int> shared(0, "output_list");
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) { shared.update(c, [](int& v) { ++v; }); });
-    shared.update(ctx, [](int& v) { ++v; });
-    ctx.sync();
-  });
-  EXPECT_TRUE(d.found_races());
-}
-
-TEST(OrderDetector, SyncSerializesSpawnedChild) {
-  order_detector d;
-  cell<int> shared(0);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) { shared.set(c, 5); });
-    ctx.sync();
-    EXPECT_EQ(shared.get(ctx), 5);
-  });
-  EXPECT_FALSE(d.found_races());
-}
-
-TEST(OrderDetector, MutexSuppressesCommonLockRaces) {
-  order_detector d;
-  cell<int> shared(0);
-  order_mutex L(d);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) {
-      L.lock(c);
-      shared.update(c, [](int& v) { ++v; });
-      L.unlock(c);
-    });
-    L.lock(ctx);
-    shared.update(ctx, [](int& v) { ++v; });
-    L.unlock(ctx);
-    ctx.sync();
-  });
-  EXPECT_FALSE(d.found_races());
-  EXPECT_GT(d.stats().races_lock_suppressed, 0u);
-}
-
-// Regression: an unmatched release used to hit CILKPP_UNREACHABLE and abort
-// the process; it is now counted while detection continues unharmed.
-TEST(OrderDetector, DoubleReleaseNoLongerAborts) {
-  order_detector d;
-  cell<int> shared(0);
-  order_mutex L(d);
-  run_under_detector(d, [&](order_context& ctx) {
-    L.lock(ctx);
-    L.unlock(ctx);
-    L.unlock(ctx);  // unmatched
-    ctx.spawn([&](order_context& c) { shared.set(c, 1); });
-    ctx.sync();
-    shared.get(ctx);
-  });
-  EXPECT_EQ(d.stats().unmatched_releases, 1u);
-  EXPECT_FALSE(d.found_races());
-}
-
-TEST(OrderDetector, CalledFrameIsSerial) {
-  order_detector d;
-  cell<int> shared(0);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.call([&](order_context& c) { shared.set(c, 1); });
-    shared.set(ctx, 2);  // serial after the call: no race
-  });
-  EXPECT_FALSE(d.found_races());
-}
-
-TEST(OrderDetector, SecondSyncBlockIndependentOfFirst) {
-  order_detector d;
-  cell<int> a(0), b(0);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) { a.set(c, 1); });
-    ctx.sync();
-    ctx.spawn([&](order_context& c) { b.set(c, 1); });
-    a.set(ctx, 2);  // serial w.r.t. first block's child; parallel to none
-    ctx.sync();
-  });
-  EXPECT_FALSE(d.found_races());
-}
-
-TEST(OrderDetector, SiblingChildrenAreParallel) {
-  order_detector d;
-  cell<int> shared(0);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) { shared.set(c, 1); });
-    ctx.spawn([&](order_context& c) { shared.set(c, 2); });
-    ctx.sync();
-  });
-  EXPECT_TRUE(d.found_races());
-}
-
-TEST(OrderDetector, DeepNestingResolvedByImplicitSyncs) {
-  order_detector d;
-  cell<int> shared(0);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& outer) {
-      outer.spawn([&](order_context& inner) { shared.set(inner, 1); });
-      outer.sync();
-    });
-    ctx.sync();
-    shared.set(ctx, 2);  // fully serial after the sync chain
-  });
-  EXPECT_FALSE(d.found_races());
-}
-
-// --- ALL-SETS histories and reducer awareness through the SP-order engine
-// --- (mirrors the SP-bags tests; the engines share history.hpp but not the
-// --- parallelism test, so both need coverage).
-
-TEST(OrderDetector, TwoLockedReadersThenUnlockedWriteRaces) {
-  order_detector d;
-  cell<int> shared(0, "shared");
-  order_mutex A(d), B(d);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) {
-      A.lock(c);
-      (void)shared.get(c);
-      A.unlock(c);
-    });
-    ctx.spawn([&](order_context& c) {
-      B.lock(c);
-      (void)shared.get(c);
-      B.unlock(c);
-    });
-    shared.set(ctx, 1);  // continuation: no lock held
-    ctx.sync();
-  });
-  EXPECT_TRUE(d.found_races());
-}
-
-TEST(OrderDetector, WriteUnderLockARacesWithForgottenLockBReader) {
-  order_detector d;
-  cell<int> shared(0, "shared");
-  order_mutex A(d), B(d);
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) {
-      A.lock(c);
-      (void)shared.get(c);
-      A.unlock(c);
-    });
-    ctx.spawn([&](order_context& c) {
-      B.lock(c);
-      (void)shared.get(c);
-      B.unlock(c);
-    });
-    A.lock(ctx);
-    shared.set(ctx, 1);  // races with the {B} reader only
-    A.unlock(ctx);
-    ctx.sync();
-  });
-  EXPECT_TRUE(d.found_races());
-  EXPECT_GT(d.stats().races_lock_suppressed, 0u);
-}
-
-TEST(OrderDetector, ReducerUpdatesAreCertifiedRaceFree) {
-  order_detector d;
-  cilk::reducer<cilk::hyper::opadd<int>> sum;
-  run_under_detector(d, [&](order_context& ctx) {
-    for (int i = 0; i < 8; ++i) {
-      ctx.spawn([&](order_context& c) { sum.view(c) += 1; });
-    }
-    ctx.sync();
-  });
-  EXPECT_FALSE(d.found_races());
-  EXPECT_EQ(d.stats().view_accesses, 8u);
-  EXPECT_EQ(sum.value(), 8);
-}
-
-TEST(OrderDetector, RawWriteParallelWithViewAccessIsViewRace) {
-  order_detector d;
-  cilk::reducer<cilk::hyper::opadd<int>> sum;
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) { sum.view(c) += 1; });
-    ctx.note_write(&sum.value(), sizeof(int), "raw bypass");
-    sum.value() += 1;
-    ctx.sync();
-  });
-  ASSERT_TRUE(d.found_races());
-  EXPECT_EQ(d.races().front().kind, race_kind::view);
-  EXPECT_EQ(d.races().front().second_label, "raw bypass");
-}
-
-TEST(OrderDetector, RawAccessSerialWithViewsIsNotAViewRace) {
-  order_detector d;
-  cilk::reducer<cilk::hyper::opadd<int>> sum;
-  run_under_detector(d, [&](order_context& ctx) {
-    ctx.spawn([&](order_context& c) { sum.view(c) += 1; });
-    ctx.sync();
-    ctx.note_read(&sum.value(), sizeof(int), "serial readback");
-    EXPECT_EQ(sum.value(), 1);
-  });
-  EXPECT_FALSE(d.found_races());
 }
 
 // --- Three-way property test: SP-order ≡ SP-bags ≡ dag ground truth. ---
