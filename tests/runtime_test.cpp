@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "alloc/slab.hpp"
+#include "hyper/holder.hpp"
 #include "hyper/reducer.hpp"
 #include "runtime/mutex.hpp"
 #include "runtime/parallel_for.hpp"
@@ -713,6 +714,120 @@ TEST(Stats, SnapshotsAreReadableWhileARunIsInFlight) {
   std::uint64_t by_victim = 0;
   for (std::uint64_t c : s.steals_by_victim) by_victim += c;
   EXPECT_EQ(by_victim, s.steals);
+}
+
+// --- The called spawn path, pinned. Every spawn at P = 1, and nearly every
+// spawn at P > 1, runs its child as a call. At P = 1 the census, the
+// counters and the strand identities of two programs are exact; at P = 2
+// and 4 the values no schedule can move must equal them. ---
+
+/// fib(n) that adds each leaf strand's id and first draw to `ids` (a
+/// wrapping sum, so its value is the same in any order).
+std::uint64_t fib_ids(context& ctx, int n, std::atomic<std::uint64_t>& ids) {
+  if (n < 2) {
+    ids.fetch_add(ctx.strand_id() + 3 * ctx.dprng_draw(),
+                  std::memory_order_relaxed);
+    return static_cast<std::uint64_t>(n);
+  }
+  std::uint64_t a = 0;
+  ctx.spawn([&a, &ids, n](context& child) { a = fib_ids(child, n - 1, ids); });
+  const std::uint64_t b = fib_ids(ctx, n - 2, ids);
+  ctx.sync();
+  return a + b;
+}
+
+struct called_path_reading {
+  worker_stats stats;
+  std::uint64_t value = 0;   ///< the program's result
+  std::uint64_t ids = 0;     ///< wrapping sum over its strands
+  std::uint64_t root_id = 0;    ///< the root's strand_id at its end
+  std::uint64_t root_draw = 0;  ///< and the root's next dprng_draw
+};
+
+called_path_reading called_path_fib(unsigned workers) {
+  scheduler sched(workers);
+  called_path_reading r;
+  std::atomic<std::uint64_t> ids{0};
+  sched.run([&](context& ctx) {
+    r.value = fib_ids(ctx, 20, ids);
+    r.root_id = ctx.strand_id();
+    r.root_draw = ctx.dprng_draw();
+  });
+  r.stats = sched.stats();
+  r.ids = ids.load();
+  return r;
+}
+
+/// A body(ctx, i) loop over [0, 1000) at grain 4 whose every iteration
+/// updates two reducers and a holder: the holder gives each strand a fresh
+/// view at every worker count, so leaf frames build join state and deliver.
+called_path_reading called_path_pfor(unsigned workers) {
+  scheduler sched(workers);
+  called_path_reading r;
+  hyper::reducer<hyper::opadd<std::uint64_t>> sum;
+  hyper::reducer<hyper::opadd<std::uint64_t>> ids;
+  hyper::holder<std::vector<int>> scratch;
+  std::atomic<bool> holder_isolated{true};
+  sched.run([&](context& ctx) {
+    parallel_for(
+        ctx, 0, 1000,
+        [&](context& leaf, int i) {
+          sum.view(leaf) += static_cast<std::uint64_t>(i);
+          ids.view(leaf) += leaf.strand_id() + 3 * leaf.dprng_draw();
+          std::vector<int>& s = scratch.view(leaf);
+          s.push_back(i);
+          if (s.size() > 4) holder_isolated.store(false);
+        },
+        /*grain=*/4);
+    r.root_id = ctx.strand_id();
+    r.root_draw = ctx.dprng_draw();
+  });
+  EXPECT_TRUE(holder_isolated.load()) << workers << " workers";
+  r.stats = sched.stats();
+  r.value = sum.value();
+  r.ids = ids.value();
+  return r;
+}
+
+TEST(CalledPath, CensusCountersAndStrandIdsPinned) {
+  struct pinned {
+    const char* name;
+    called_path_reading (*run)(unsigned);
+    std::uint64_t value, spawns, max_frame_depth, peak_live_frames;
+    std::uint64_t ids, root_id, root_draw;
+  };
+  const pinned programs[] = {
+      {"fib(20)", &called_path_fib, 6765, 10945, 19, 20,
+       0x2896bd8798ac5942ULL, 0x650c4b680fe4d9f4ULL, 0x9ee495921283dd9cULL},
+      {"pfor body(ctx, i)", &called_path_pfor, 499500, 255, 9, 10,
+       0xef9309c55fad81a5ULL, 0x14d8fd72b0a888b1ULL, 0x8a48ac45f935526fULL},
+  };
+  for (const pinned& p : programs) {
+    const called_path_reading one = p.run(1);
+    const worker_stats& s = one.stats;
+    EXPECT_EQ(one.value, p.value) << p.name;
+    EXPECT_EQ(s.spawns, p.spawns) << p.name;
+    EXPECT_EQ(s.tasks_executed, p.spawns) << p.name;
+    EXPECT_EQ(s.max_frame_depth, p.max_frame_depth) << p.name;
+    EXPECT_EQ(s.peak_live_frames, p.peak_live_frames) << p.name;
+    EXPECT_EQ(s.peak_deque, 0u) << p.name;
+    EXPECT_EQ(s.steals, 0u) << p.name;
+    EXPECT_EQ(one.ids, p.ids) << p.name;
+    EXPECT_EQ(one.root_id, p.root_id) << p.name;
+    EXPECT_EQ(one.root_draw, p.root_draw) << p.name;
+    for (const unsigned workers : {2u, 4u}) {
+      const called_path_reading many = p.run(workers);
+      EXPECT_EQ(many.value, p.value) << p.name << ", P=" << workers;
+      EXPECT_EQ(many.stats.spawns, p.spawns) << p.name << ", P=" << workers;
+      EXPECT_EQ(many.stats.tasks_executed, many.stats.spawns)
+          << p.name << ", P=" << workers;
+      EXPECT_EQ(many.stats.max_frame_depth, p.max_frame_depth)
+          << p.name << ", P=" << workers;
+      EXPECT_EQ(many.ids, p.ids) << p.name << ", P=" << workers;
+      EXPECT_EQ(many.root_id, p.root_id) << p.name << ", P=" << workers;
+      EXPECT_EQ(many.root_draw, p.root_draw) << p.name << ", P=" << workers;
+    }
+  }
 }
 
 // --- Exact chaos-point counts: the observed instantiation reaches every
