@@ -21,19 +21,31 @@
 //                      measured (plus magazine refill/return counters and
 //                      the wide leg's worker_stats: steal-distance mix,
 //                      backoff naps, allocator traffic)
+//   * p1_vs_elision    fib(30) at P = 1 against the same fib under the
+//                      serial elision (rt::serial_context): the median over
+//                      five interleaved rounds of T1 / Ts, the runtime's
+//                      serial overhead on a spawn that runs as a call
 //
-// The thresholds at the bottom are deliberately loose — an order of
+// Most thresholds at the bottom are deliberately loose — an order of
 // magnitude above today's numbers — so the job catches "the fast path grew
-// a lock back" regressions, not scheduler noise on shared CI runners.
+// a lock back" regressions, not scheduler noise on shared CI runners. The
+// exception is p1_vs_elision: both sides run on one thread of one process,
+// one after the other, so the host's speed cancels out of each round's
+// ratio, and its bound is 1.3x the median this build measured (as
+// bench_graph's p1_vs_elision gate, EXPERIMENTS E15), which a spawn path
+// that left the lean frame would exceed (EXPERIMENTS E6).
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "alloc/slab.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/serial.hpp"
 #include "runtime/stats_json.hpp"
 #include "support/stats.hpp"
 #include "support/timing.hpp"
@@ -142,6 +154,60 @@ throughput measure_wide_pfor_throughput(unsigned workers, std::uint64_t n,
   return t;
 }
 
+/// Interleaved rounds of the P = 1 vs elision gate, and its bound: 1.3x
+/// the median ratio measured on this gate's build (EXPERIMENTS E6).
+constexpr unsigned kElisionRounds = 5;
+constexpr double kElisionRatioMax = 1.3 * 2.17;
+
+struct elision_result {
+  std::vector<double> elision_s;
+  std::vector<double> p1_s;
+  double ratio_median = 0;
+  bool correct = true;
+};
+
+/// fib(30) with cutoff 0 at P = 1 and under the serial elision, in
+/// kElisionRounds rounds, the side that goes first alternating. Every spawn
+/// at P = 1 runs as a call, so the ratio prices the called spawn path
+/// against a plain call.
+elision_result measure_p1_vs_elision() {
+  constexpr unsigned n = 30;
+  const std::uint64_t expected = cilkpp::workloads::fib_serial(n);
+  scheduler sched(1);
+  elision_result e;
+  {  // warm-up: both sides once
+    cilkpp::rt::serial_context sc;
+    e.correct &= cilkpp::workloads::fib(sc, n, 0) == expected;
+    e.correct &= sched.run([](context& ctx) {
+      return cilkpp::workloads::fib(ctx, n, 0);
+    }) == expected;
+  }
+  std::vector<double> ratios;
+  for (unsigned round = 0; round < kElisionRounds; ++round) {
+    double el = 0.0;
+    double p1 = 0.0;
+    for (unsigned side = 0; side < 2; ++side) {
+      cilkpp::stopwatch sw;
+      std::uint64_t r = 0;
+      if ((side + round) % 2 == 0) {
+        cilkpp::rt::serial_context sc;
+        r = cilkpp::workloads::fib(sc, n, 0);
+        el = sw.elapsed_s();
+      } else {
+        r = sched.run([](context& ctx) { return cilkpp::workloads::fib(ctx, n, 0); });
+        p1 = sw.elapsed_s();
+      }
+      e.correct &= r == expected;
+    }
+    e.elision_s.push_back(el);
+    e.p1_s.push_back(p1);
+    ratios.push_back(el > 0 ? p1 / el : 0.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  e.ratio_median = ratios[ratios.size() / 2];
+  return e;
+}
+
 void emit_throughput(cilkpp::json_writer& w, const throughput& t) {
   w.begin_object();
   w.field("workers", t.workers);
@@ -163,6 +229,7 @@ int main(int argc, char** argv) {
 
   const pair_result pair = measure_pair_ns();
   const double pair_ns = pair.best_ns;
+  const elision_result elision = measure_p1_vs_elision();
   const throughput tp1 = measure_fib_throughput(1, 24);
   const throughput tp_hw =
       hw > 1 ? measure_fib_throughput(hw, 24) : tp1;
@@ -232,6 +299,17 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
+  if (!elision.correct) {
+    std::fprintf(stderr, "FAIL: fib(30) differs from fib_serial(30)\n");
+    ok = false;
+  }
+  if (elision.ratio_median > kElisionRatioMax) {
+    std::fprintf(stderr,
+                 "FAIL: fib(30) at P=1 takes %.2fx the elision's time "
+                 "(median of %u rounds) > %.2fx\n",
+                 elision.ratio_median, kElisionRounds, kElisionRatioMax);
+    ok = false;
+  }
   if (slab_steady_delta > slab_steady_delta_max) {
     std::fprintf(stderr,
                  "FAIL: slab system allocs not flat at steady state: "
@@ -272,6 +350,21 @@ int main(int argc, char** argv) {
   w.field("magazine_returns", slab_after.magazine_returns);
   w.field("steady_state_system_allocs_delta", slab_steady_delta);
   w.end_object();
+  w.key("p1_vs_elision");
+  w.begin_object();
+  w.field("workload", "fib30_cutoff0");
+  w.field("rounds", kElisionRounds);
+  w.field("ratio_median", elision.ratio_median);
+  w.field("ratio_max", kElisionRatioMax);
+  w.key("elision_s");
+  w.begin_array();
+  for (const double t : elision.elision_s) w.value(t);
+  w.end_array();
+  w.key("p1_s");
+  w.begin_array();
+  for (const double t : elision.p1_s) w.value(t);
+  w.end_array();
+  w.end_object();
   w.key("wide_pfor_worker_stats");
   cilkpp::rt::write_worker_stats(w, wide_stats);
   w.key("thresholds");
@@ -280,6 +373,7 @@ int main(int argc, char** argv) {
   w.field("allocs_per_spawn_max", allocs_per_spawn_max);
   w.field("spawns_per_sec_min", spawns_per_sec_min);
   w.field("slab_steady_delta_max", slab_steady_delta_max);
+  w.field("p1_vs_elision_max", kElisionRatioMax);
   w.field("passed", ok);
   w.end_object();
   w.end_object();
