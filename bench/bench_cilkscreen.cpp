@@ -9,16 +9,17 @@
 //     the guarantee that an exposed race is always caught, while actual
 //     parallel executions "may execute successfully millions of times".
 // Overhead table: instrumented vs uninstrumented serial execution, under
-// both engines (SP-bags and SP-order).
+// both engines (SP-bags and SP-order), five timed reps after a warm-up.
 //
 // Exits non-zero when a verdict above breaks: Fig. 5 quiet, Fig. 6 or
 // Fig. 1 racy, the mutated qsort missed in any of its 10 runs, a race on
 // the n = 50,000 sort under either engine or the engines checking different
-// access counts there, or the lock mix's history histograms differing
-// between the engines or spilling.
+// access counts there, in any rep, or the lock mix's history histograms
+// differing between the engines or spilling.
 #include <algorithm>
 #include <iostream>
 #include <list>
+#include <string>
 #include <vector>
 
 #include "cilkscreen/screen_context.hpp"
@@ -55,6 +56,45 @@ void sqsort(Ctx& ctx, std::vector<cell<int>>& a, int lo, int hi, bool buggy) {
   sqsort(ctx, a, right, hi, buggy);
   ctx.sync();
 }
+
+/// One timed run of the n = 50,000 Fig. 1 sort under det, on fresh cells
+/// holding raw; returns its seconds.
+template <typename Detector>
+double screened_sort(Detector& det, const std::vector<int>& raw) {
+  std::vector<cell<int>> a;
+  a.reserve(raw.size());
+  for (int v : raw) a.emplace_back(v);
+  stopwatch sw;
+  run_under_detector(det, [&](basic_screen_context<Detector>& ctx) {
+    sqsort(ctx, a, 0, static_cast<int>(a.size()), false);
+  });
+  return sw.elapsed_s();
+}
+
+/// The timed reps of one configuration: the median, the range, and the
+/// rates they give for a fixed number of accesses.
+struct rep_times {
+  std::vector<double> s;
+
+  double median() const {
+    std::vector<double> sorted = s;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[sorted.size() / 2];
+  }
+  std::string range() const {
+    const auto [lo, hi] = std::minmax_element(s.begin(), s.end());
+    return table::format_cell(*lo) + "–" + table::format_cell(*hi);
+  }
+  double rate_median(std::uint64_t accesses) const {
+    return static_cast<double>(accesses) / median();
+  }
+  /// The slowest rep's rate to the fastest's.
+  std::string rate_range(std::uint64_t accesses) const {
+    const auto [lo, hi] = std::minmax_element(s.begin(), s.end());
+    const auto n = static_cast<double>(accesses);
+    return table::format_cell(n / *hi) + "–" + table::format_cell(n / *lo);
+  }
+};
 
 // Instrumented Fig. 5/6/7 walks over an instrumented output-list length.
 void swalk(screen_context& ctx, const workloads::assembly_node* x,
@@ -145,59 +185,63 @@ int main() {
             << "/10 single serial runs (paper: guaranteed when exposed).\n\n";
   expect(caught == 10, "mutated qsort missed in a single serial run");
 
-  // Overhead of the detector vs the bare elision.
+  // Overhead of the detector vs the bare elision. Each configuration runs
+  // once to warm up and then overhead_reps times, each on a fresh copy of
+  // the input (fresh cells and a fresh detector for the engines); the table
+  // reports the median with min–max. Every rep keeps the verdict checks.
   {
+    constexpr int overhead_reps = 5;
     std::vector<int> raw(50000);
     xoshiro256 rng(5);
     for (int& v : raw) v = static_cast<int>(rng.below(1 << 20));
 
-    stopwatch sw;
-    auto copy = raw;
-    std::sort(copy.begin(), copy.end());
-    const double plain_s = sw.elapsed_s();
+    rep_times plain, bags, order;
+    std::uint64_t checked_bags = 0;
+    std::uint64_t checked_order = 0;
+    std::uint64_t relabels = 0;
+    for (int rep = 0; rep <= overhead_reps; ++rep) {
+      auto copy = raw;
+      stopwatch sw;
+      std::sort(copy.begin(), copy.end());
+      const double plain_s = sw.elapsed_s();
 
-    detector d;
-    std::vector<cell<int>> a;
-    a.reserve(raw.size());
-    for (int v : raw) a.emplace_back(v);
-    sw.reset();
-    run_under_detector(d, [&](screen_context& ctx) {
-      sqsort(ctx, a, 0, static_cast<int>(a.size()), false);
-    });
-    const double screened_s = sw.elapsed_s();
+      detector d;
+      const double bags_s = screened_sort(d, raw);
+      // Second engine: SP-order (order-maintenance lists, paper ref [2]).
+      order_detector od;
+      const double order_s = screened_sort(od, raw);
 
-    // Second engine: SP-order (order-maintenance lists, paper ref [2]).
-    order_detector od;
-    std::vector<cell<int>> a2;
-    a2.reserve(raw.size());
-    for (int v : raw) a2.emplace_back(v);
-    sw.reset();
-    run_under_detector(od, [&](order_context& ctx) {
-      sqsort(ctx, a2, 0, static_cast<int>(a2.size()), false);
-    });
-    const double order_s = sw.elapsed_s();
+      checked_bags = d.stats().reads_checked + d.stats().writes_checked;
+      checked_order = od.stats().reads_checked + od.stats().writes_checked;
+      relabels = od.relation().relabel_count();
+      expect(!d.found_races(), "n = 50000 qsort races under SP-bags");
+      expect(!od.found_races(), "n = 50000 qsort races under SP-order");
+      expect(checked_bags == checked_order,
+             "the engines checked different access counts on the n = 50000 "
+             "qsort");
+      if (rep == 0) continue;  // the warm-up
+      plain.s.push_back(plain_s);
+      bags.s.push_back(bags_s);
+      order.s.push_back(order_s);
+    }
 
-    const auto checked_bags =
-        d.stats().reads_checked + d.stats().writes_checked;
-    const auto checked_order =
-        od.stats().reads_checked + od.stats().writes_checked;
-    table o{"configuration", "time (s)", "slowdown", "accesses checked",
-            "accesses/s"};
-    o.row("std::sort, uninstrumented", plain_s, 1.0, std::uint64_t{0}, 0.0);
-    o.row("qsort under SP-bags engine", screened_s, screened_s / plain_s,
-          checked_bags, static_cast<double>(checked_bags) / screened_s);
-    o.row("qsort under SP-order engine", order_s, order_s / plain_s,
-          checked_order, static_cast<double>(checked_order) / order_s);
-    o.set_title("detector overhead, n = 50000 (binary-instrumentation tools "
-                "pay a comparable constant)");
+    table o{"configuration", "time (s), median", "min–max", "slowdown",
+            "accesses checked", "accesses/s, median", "min–max"};
+    o.row("std::sort, uninstrumented", plain.median(), plain.range(), 1.0,
+          std::uint64_t{0}, 0.0, "");
+    o.row("qsort under SP-bags engine", bags.median(), bags.range(),
+          bags.median() / plain.median(), checked_bags,
+          bags.rate_median(checked_bags), bags.rate_range(checked_bags));
+    o.row("qsort under SP-order engine", order.median(), order.range(),
+          order.median() / plain.median(), checked_order,
+          order.rate_median(checked_order), order.rate_range(checked_order));
+    o.set_title("detector overhead, n = 50000, " +
+                std::to_string(overhead_reps) +
+                " reps after a warm-up (binary-instrumentation tools pay a "
+                "comparable constant)");
     o.print(std::cout);
-    std::cout << "SP-order engine: " << od.relation().relabel_count()
-              << " order-maintenance relabels.\n\n";
-    expect(!d.found_races(), "n = 50000 qsort races under SP-bags");
-    expect(!od.found_races(), "n = 50000 qsort races under SP-order");
-    expect(checked_bags == checked_order,
-           "the engines checked different access counts on the n = 50000 "
-           "qsort");
+    std::cout << "SP-order engine: " << relabels
+              << " order-maintenance relabels per sort.\n\n";
   }
 
   // ALL-SETS history depth: how many (lockset, kind) entries do shadow

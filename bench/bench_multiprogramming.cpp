@@ -8,30 +8,23 @@
 // (no-stealing) scheduling, work stranded on an offline processor stalls
 // the whole computation until the window ends.
 //
-// A second, real-runtime leg (built when cilk::serve is) asks the
-// multi-tenant version of the same question: the same mixed job load pushed
-// through (a) one scheduler shared by both tenants and (b) two
-// affinity-partitioned runtimes, comparing throughput and tail latency in
-// one artifact (BENCH_multiprogramming.json).
-#include <iostream>
-
-#include "dag/analysis.hpp"
-#include "dag/generators.hpp"
-#include "sim/baselines.hpp"
-#include "sim/machine.hpp"
-#include "support/table.hpp"
-
-#ifndef CILKPP_BENCH_SERVE
-#define CILKPP_BENCH_SERVE 0
-#endif
-#if CILKPP_BENCH_SERVE
+// A second, real-runtime leg asks the multi-tenant version of the same
+// question: the same mixed job load pushed through (a) one scheduler shared
+// by both tenants and (b) two affinity-partitioned runtimes, comparing
+// throughput and tail latency in one artifact (BENCH_multiprogramming.json).
 #include <fstream>
+#include <iostream>
 #include <thread>
 #include <vector>
 
+#include "dag/analysis.hpp"
+#include "dag/generators.hpp"
 #include "serve/job_server.hpp"
 #include "serve/runtime_set.hpp"
+#include "sim/baselines.hpp"
+#include "sim/machine.hpp"
 #include "support/stats.hpp"
+#include "support/table.hpp"
 #include "support/timing.hpp"
 #include "workloads/fib.hpp"
 #include "workloads/qsort.hpp"
@@ -178,7 +171,6 @@ void run_serve_leg() {
 }
 
 }  // namespace
-#endif  // CILKPP_BENCH_SERVE
 
 int main() {
   using namespace cilkpp;
@@ -227,8 +219,6 @@ int main() {
                "8/(8-k) in makespan (graceful); static scheduling strands the\n"
                "victims' queues and keeps the survivors idle.\n";
 
-#if CILKPP_BENCH_SERVE
   run_serve_leg();
-#endif
   return 0;
 }

@@ -26,9 +26,12 @@
 //                      five interleaved rounds of T1 / Ts, the runtime's
 //                      serial overhead on a spawn that runs as a call
 //
-// Most thresholds at the bottom are deliberately loose — an order of
-// magnitude above today's numbers — so the job catches "the fast path grew
-// a lock back" regressions, not scheduler noise on shared CI runners. The
+// Most thresholds at the bottom are deliberately loose — far above today's
+// numbers — so the job catches "the fast path grew a lock back"
+// regressions, not scheduler noise on shared CI runners: the pair within
+// 1.3x a conservative 150 ns shared-runner envelope (195 ns), and the wide
+// leg at no less than a quarter of an 8.8M spawns/s dev-host envelope
+// (2.2M, a collapse such as every task back on ::operator new). The
 // exception is p1_vs_elision: both sides run on one thread of one process,
 // one after the other, so the host's speed cancels out of each round's
 // ratio, and its bound is 1.3x the median this build measured (as
@@ -271,9 +274,10 @@ int main(int argc, char** argv) {
   // the slab-block gate, which is the allocation-free spawn contract itself
   // (a few blocks of slack per hundred spawns; at P > 1 the arena chunks of
   // frames whose queued children were stolen take about one per thousand).
-  constexpr double pair_ns_max = 2000.0;
+  constexpr double pair_ns_max = 1.3 * 150.0;
   constexpr double allocs_per_spawn_max = 0.01;
   constexpr double spawns_per_sec_min = 1e5;
+  constexpr double wide_pfor_spawns_per_sec_min = 0.25 * 8.8e6;
   // Steady-state flatness: a warmed-up slab layer must not touch the system
   // allocator again. A handful of stragglers are tolerated (a worker thread
   // whose first magazine pop races the depot restock), a linear-in-spawns
@@ -292,10 +296,11 @@ int main(int argc, char** argv) {
     }
   }
   for (const throughput* t : {&tp1, &tp_hw, &tp_wide}) {
-    if (t->spawns_per_sec() < spawns_per_sec_min) {
+    const double bound =
+        t == &tp_wide ? wide_pfor_spawns_per_sec_min : spawns_per_sec_min;
+    if (t->spawns_per_sec() < bound) {
       std::fprintf(stderr, "FAIL: %s @%u workers: %.0f spawns/s < %.0f\n",
-                   t->workload, t->workers, t->spawns_per_sec(),
-                   spawns_per_sec_min);
+                   t->workload, t->workers, t->spawns_per_sec(), bound);
       ok = false;
     }
   }
@@ -372,6 +377,7 @@ int main(int argc, char** argv) {
   w.field("pair_ns_max", pair_ns_max);
   w.field("allocs_per_spawn_max", allocs_per_spawn_max);
   w.field("spawns_per_sec_min", spawns_per_sec_min);
+  w.field("wide_pfor_spawns_per_sec_min", wide_pfor_spawns_per_sec_min);
   w.field("slab_steady_delta_max", slab_steady_delta_max);
   w.field("p1_vs_elision_max", kElisionRatioMax);
   w.field("passed", ok);

@@ -4,11 +4,11 @@
 #include "runtime/scheduler.hpp"
 
 // The slow paths of a frame: the helping loop of a sync that has to wait,
-// the delivering fold, the called/root epilogues and reducer access. The
-// spawn/join fast path itself is defined inline in scheduler.hpp; it is
-// entirely lock-free and, for a child that is never stolen, free of atomic
-// read-modify-writes (DESIGN.md §4.7, "lock-free join"). The ownership
-// discipline:
+// the delivering fold, the ends of frames that run as calls and reducer
+// access. The spawn/join fast path itself is defined inline in
+// scheduler.hpp; it is entirely lock-free and, for a child that is never
+// stolen, free of atomic read-modify-writes (DESIGN.md §4.7, "lock-free
+// join"). The ownership discipline:
 //
 //   * The arena, the join counts and the cross-worker join fields live in
 //     the frame's join_state, which the frame takes from its worker's
@@ -134,88 +134,48 @@ void context::finish_spawn_as_call(context& child,
 }
 
 template <bool Observed>
-void context::finish_called_joined() {
-  bump_rank();  // the implicit sync, like an explicit one
-  std::exception_ptr child_exception = sync_bracket<Observed>(/*implicit=*/false);
+void context::end_called(std::exception_ptr body_exception) {
+  std::exception_ptr ex = sync_spawned<Observed>(std::move(body_exception));
   view_map final_views = take_final_views();
   // The frame's join state goes back before its parent may take its own.
   release_joins();
   end_frame<Observed>();
-  if (!final_views.empty()) {
+  if (parent_ == nullptr) {
+    for (view_map::entry& e : final_views) {
+      // Null the entry before absorb_final runs: absorb_final calls the
+      // user's reduce, which may throw, and final_views' destructor would
+      // otherwise delete the view a second time. A throw drops only its
+      // own view; every other view is still absorbed.
+      std::unique_ptr<view_base> view(e.view);
+      e.view = nullptr;
+      try {
+        e.hyper->absorb_final(std::move(view));
+      } catch (...) {
+        if (!ex) ex = std::current_exception();
+      }
+    }
+  } else if (!final_views.empty()) {
     // Owner-only: a called frame runs synchronously on the strand executing
     // the parent, so appending to the parent's arena here is the same
     // single-strand append as the parent's own spawns. The parent's
     // outstanding children (if any) write only their own slots' contents,
     // never the arena structure.
     // Caller updates so far are serially before the callee's: fold left.
-    fold_view_maps(parent_->current_segment(), std::move(final_views));
-  }
-  if (child_exception) std::rethrow_exception(child_exception);
-}
-
-template <bool Observed>
-void context::finish_called_abandoned() noexcept {
-  wait_children<Observed>();
-  try {
-    (void)fold_slots();  // child exceptions are superseded by the body's
-    view_map final_views = take_final_views();
-    release_joins();
-    if (!final_views.empty()) {
-      fold_view_maps(parent_->current_segment(), std::move(final_views));
-    }
-  } catch (...) {
-    // A throwing reduce while the body's exception unwinds: the views it
-    // had not folded are dropped, and the body's exception still wins.
-  }
-  end_frame<Observed>();
-}
-
-template <bool Observed>
-void context::finish_root() {
-  sync_impl<Observed>();
-  view_map final_views = take_final_views();
-  for (view_map::entry& e : final_views) {
-    // Null the entry before absorb_final runs: absorb_final calls the
-    // user's reduce, which may throw, and final_views' destructor would
-    // otherwise delete the view a second time during unwinding.
-    std::unique_ptr<view_base> view(e.view);
-    e.view = nullptr;
-    e.hyper->absorb_final(std::move(view));
-  }
-  final_views.detach_all();
-  end_frame<Observed>();
-}
-
-template <bool Observed>
-void context::finish_root_abandoned() noexcept {
-  // child exceptions are superseded by the body's
-  (void)sync_bracket<Observed>(/*implicit=*/true);
-  view_map final_views = take_final_views();
-  for (view_map::entry& e : final_views) {
-    std::unique_ptr<view_base> view(e.view);
-    e.view = nullptr;  // sole owner is now `view`; no double free on throw
     try {
-      e.hyper->absorb_final(std::move(view));
+      fold_view_maps(parent_->current_segment(), std::move(final_views));
     } catch (...) {
-      // A throwing reduce during unwinding: drop this view, keep going.
+      if (!ex) ex = std::current_exception();
     }
   }
-  final_views.detach_all();
-  end_frame<Observed>();
+  if (ex) std::rethrow_exception(ex);
 }
 
 // The epilogues of both instantiations (scheduler.hpp: context).
 template void context::finish_spawn_as_call<false>(context&,
                                                    std::exception_ptr&&);
 template void context::finish_spawn_as_call<true>(context&, std::exception_ptr&&);
-template void context::finish_called_joined<false>();
-template void context::finish_called_joined<true>();
-template void context::finish_called_abandoned<false>() noexcept;
-template void context::finish_called_abandoned<true>() noexcept;
-template void context::finish_root<false>();
-template void context::finish_root<true>();
-template void context::finish_root_abandoned<false>() noexcept;
-template void context::finish_root_abandoned<true>() noexcept;
+template void context::end_called<false>(std::exception_ptr);
+template void context::end_called<true>(std::exception_ptr);
 
 std::unique_ptr<view_base> context::extract_view(hyperobject_base& h) {
   CILKPP_ASSERT(all_joined(),

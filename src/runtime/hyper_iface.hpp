@@ -147,7 +147,7 @@ class view_map {
   }
 
   /// Empties the map WITHOUT destroying views — for callers that moved the
-  /// view pointers' ownership elsewhere (fold_view_maps, absorb loops).
+  /// view pointers' ownership elsewhere (fold_view_maps).
   void detach_all() { entries_.clear(); }
 
   entry* begin() { return entries_.begin(); }

@@ -567,8 +567,6 @@ class context {
  private:
   friend class scheduler;
 
-  enum class kind : std::uint8_t { root, spawned, called };
-
   // --- Two instantiations of one source. spawn, spawn_leaf, sync and call,
   // and the root frame in scheduler::run, test the worker's hook pointers
   // once (observed) and run the members below that take `bool Observed`:
@@ -578,18 +576,19 @@ class context {
   // the order the frame reaches them. A pushed spawn builds its record the
   // same way in both and branches only for the count and the push
   // (spawn_record_in_slot). The choice carries over to everything the entry
-  // point starts: the child frame of a spawn that runs as a call, the
-  // epilogue of a called or root frame, and a pushed child, whose run_fn is
+  // point starts: the child frame of a spawn that runs as a call, the end
+  // of a called or root frame, and a pushed child, whose run_fn is
   // run_spawned<Observed, Record> or run_leaf<Observed, Body, Index>, so
   // executing it needs no second test. Hooks are attached and detached only
   // while no run is in flight (DESIGN.md §4.12).
 
-  /// A frame starting on `home` with `live` frames on that worker's stack,
-  /// itself included; the observed instantiation records its frame_begin.
+  /// A frame of kind k starting on `home` with `live` frames on that
+  /// worker's stack, itself included; the observed instantiation records
+  /// its frame_begin.
   template <bool Observed>
   [[gnu::always_inline]] context(std::bool_constant<Observed>, worker* home,
                                  context* parent, frame_slot* parent_slot,
-                                 kind k, std::uint64_t ped_hash,
+                                 trace::frame_kind k, std::uint64_t ped_hash,
                                  std::uint64_t birth_rank, std::uint64_t live);
 
   /// Deterministic pedigree chaining: the child born at rank r of a frame
@@ -729,7 +728,7 @@ class context {
 
   /// Gives the frame's join state back to its worker, if it holds one: at
   /// its end, and before a called frame's parent may build its own
-  /// (finish_called_joined, finish_called_abandoned, finish_spawn_as_call).
+  /// (end_called, finish_spawn_as_call).
   /// Every child has joined and the arena holds nothing left to fold.
   void release_joins() noexcept;
 
@@ -784,10 +783,11 @@ class context {
     }
   }
 
-  /// Spawned-child epilogue, first half: the implicit sync and fold.
-  /// Returns the exception the parent must see — the body's, else the
-  /// serially earliest child exception. The closure is still alive here:
-  /// this frame's own children may refer to it until they joined.
+  /// The implicit sync of a frame with a context, at its current rank:
+  /// one implicit sync bracket, the wait and the fold. Returns the exception
+  /// the parent must see — the body's, else the serially earliest child
+  /// exception. A spawned child's closure is still alive here: this
+  /// frame's own children may refer to it until they joined.
   template <bool Observed>
   std::exception_ptr sync_spawned(std::exception_ptr body_exception) noexcept;
 
@@ -797,36 +797,29 @@ class context {
   template <bool Observed>
   void finish_spawned(std::exception_ptr deliver) noexcept;
 
-  /// Called-frame epilogue: the implicit sync, the fold into the parent's
-  /// current segment and the frame's end. A child's exception from the
-  /// implicit sync is rethrown last, once the frame has ended and its views
-  /// reached the parent, as a spawned child delivers both. Inline while the
-  /// frame holds no join state: it then has nothing to wait for or fold.
+  /// Runs fn as the body of this root or called frame and ends the frame:
+  /// the lean exit inline (finish_called), every other end, and every end
+  /// of a body that threw, through end_called.
+  template <bool Observed, typename Fn>
+  [[gnu::always_inline]] auto run_called(Fn& fn)
+      -> decltype(fn(std::declval<context&>()));
+
+  /// The end of a root or called frame whose body returned. Inline while
+  /// the frame holds no join state: it then has nothing to wait for or
+  /// fold.
   template <bool Observed>
   [[gnu::always_inline]] void finish_called();
-  /// finish_called for a frame that holds join state (and every observed
-  /// one).
-  template <bool Observed>
-  void finish_called_joined();
 
-  /// Called-frame epilogue on the exception path: joins children and still
-  /// folds the views of completed strands into the parent's current
-  /// segment, as a throwing spawned child delivers them — and as a
-  /// one-worker scheduler, whose frames update a reducer's leftmost value
-  /// directly, cannot help doing. Child exceptions are superseded by the
-  /// body's.
+  /// The one out-of-line end of a root or called frame — the root is a
+  /// called frame without a parent — for every end finish_called's lean
+  /// exit does not take. In order: the implicit sync a spawned frame runs
+  /// (sync_spawned), release_joins and end_frame, the final views sent on
+  /// (folded into the parent's current segment, or at the root each
+  /// absorbed into its hyperobject, even after another's reduce threw),
+  /// and the rethrow of the first exception: the body's, else the serially
+  /// earliest child's, else a reduce's.
   template <bool Observed>
-  void finish_called_abandoned() noexcept;
-
-  /// Root epilogue: implicit sync (throws), absorb views into hyperobjects.
-  template <bool Observed>
-  void finish_root();
-
-  /// Root epilogue on the exception path: joins children and still absorbs
-  /// completed strands' reducer views (updates are not silently dropped),
-  /// discarding any child exceptions — the body's exception wins.
-  template <bool Observed>
-  void finish_root_abandoned() noexcept;
+  void end_called(std::exception_ptr body_exception);
 
   /// Moves this frame's single folded segment out (after fold_slots()).
   view_map take_final_views();
@@ -1191,8 +1184,8 @@ inline void context::spawn_as_call(Fn& closure) {
   // joins before the continuation starts, and on a one-worker scheduler it
   // updates a reducer's leftmost value in place.
   context child(std::bool_constant<Observed>{}, home_, this,
-                /*parent_slot=*/nullptr, kind::spawned, child_ped, child_birth,
-                live_ + 1);
+                /*parent_slot=*/nullptr, trace::frame_kind::spawned, child_ped,
+                child_birth, live_ + 1);
   std::exception_ptr body_exception;
   try {
     closure(child);
@@ -1252,7 +1245,8 @@ void context::run_spawned(frame_slot& slot, worker& w) {
   Record& rec = slot.record<Record>();
   context* parent = rec.parent_frame;
   context child(std::bool_constant<Observed>{}, &w, parent, &slot,
-                kind::spawned, rec.child_ped_hash, rec.child_birth_rank,
+                trace::frame_kind::spawned, rec.child_ped_hash,
+                rec.child_birth_rank,
                 w.live_frames.load(std::memory_order_relaxed) + 1);
   std::exception_ptr body_exception;
   try {
@@ -1279,7 +1273,7 @@ std::exception_ptr context::run_leaf_body(worker& w, std::uint64_t ped,
   if constexpr (Observed) {
     trace_record(&w, trace::event_kind::frame_begin, ped, ped_hash_,
                  static_cast<std::uint32_t>(depth),
-                 static_cast<std::uint16_t>(kind::spawned));
+                 static_cast<std::uint16_t>(trace::frame_kind::spawned));
   }
   std::exception_ptr body_exception;
   try {
@@ -1355,9 +1349,9 @@ inline void context::enter_frame(worker& w, std::uint64_t depth,
 
 template <bool Observed>
 inline context::context(std::bool_constant<Observed>, worker* home,
-                        context* parent, frame_slot* parent_slot, kind k,
-                        std::uint64_t ped_hash, std::uint64_t birth_rank,
-                        std::uint64_t live)
+                        context* parent, frame_slot* parent_slot,
+                        trace::frame_kind k, std::uint64_t ped_hash,
+                        std::uint64_t birth_rank, std::uint64_t live)
     : home_(home),
       parent_(parent),
       parent_slot_(parent_slot),
@@ -1558,7 +1552,32 @@ inline void context::finish_called() {
       return;
     }
   }
-  finish_called_joined<Observed>();
+  end_called<Observed>(nullptr);
+}
+
+template <bool Observed, typename Fn>
+inline auto context::run_called(Fn& fn)
+    -> decltype(fn(std::declval<context&>())) {
+  using result = decltype(fn(*this));
+  auto body = [&]() -> result {
+    try {
+      return fn(*this);
+    } catch (...) {
+      // Children must not outlive the frame. end_called rethrows the
+      // body's exception, which beats every other, so the throw below is
+      // never reached.
+      end_called<Observed>(std::current_exception());
+      throw;
+    }
+  };
+  if constexpr (std::is_void_v<result>) {
+    body();
+    finish_called<Observed>();
+  } else {
+    result r = body();
+    finish_called<Observed>();
+    return r;
+  }
 }
 
 template <typename Fn>
@@ -1576,30 +1595,9 @@ inline auto context::call_impl(Fn& fn)
   const std::uint64_t child_birth = rank_;
   bump_rank();  // the continuation after the call is a new strand
   context child(std::bool_constant<Observed>{}, home_, this,
-                /*parent_slot=*/nullptr, kind::called, child_ped, child_birth,
-                live_ + 1);
-  using result = decltype(fn(child));
-  if constexpr (std::is_void_v<result>) {
-    try {
-      fn(child);
-    } catch (...) {
-      // children must not outlive the frame
-      child.finish_called_abandoned<Observed>();
-      throw;
-    }
-    child.finish_called<Observed>();
-  } else {
-    result r = [&] {
-      try {
-        return fn(child);
-      } catch (...) {
-        child.finish_called_abandoned<Observed>();
-        throw;
-      }
-    }();
-    child.finish_called<Observed>();
-    return r;
-  }
+                /*parent_slot=*/nullptr, trace::frame_kind::called, child_ped,
+                child_birth, live_ + 1);
+  return child.run_called<Observed>(fn);
 }
 
 template <typename Fn>
@@ -1617,33 +1615,21 @@ auto scheduler::run(Fn&& fn) -> decltype(fn(std::declval<context&>())) {
 
 template <bool Observed, typename Fn>
 auto scheduler::run_root(Fn& fn) -> decltype(fn(std::declval<context&>())) {
+  // Declared before the root, so the run ends after the root has, however
+  // the root ends.
+  struct run_end {
+    scheduler& s;
+    ~run_end() {
+      set_current_worker(nullptr);
+      s.run_active_.store(false);
+    }
+  } guard{*this};
   worker& w = *workers_[0];
   context root(std::bool_constant<Observed>{}, &w, nullptr, nullptr,
-               context::kind::root, /*ped_hash=*/ped::root_seed,
+               trace::frame_kind::root, /*ped_hash=*/ped::root_seed,
                /*birth_rank=*/0,
                w.live_frames.load(std::memory_order_relaxed) + 1);
-  auto cleanup = [&]() {
-    set_current_worker(nullptr);
-    run_active_.store(false);
-  };
-
-  using result = decltype(fn(root));
-  try {
-    if constexpr (std::is_void_v<result>) {
-      fn(root);
-      root.finish_root<Observed>();
-      cleanup();
-    } else {
-      result r = fn(root);
-      root.finish_root<Observed>();
-      cleanup();
-      return r;
-    }
-  } catch (...) {
-    root.finish_root_abandoned<Observed>();
-    cleanup();
-    throw;
-  }
+  return root.run_called<Observed>(fn);
 }
 
 }  // namespace cilkpp::rt

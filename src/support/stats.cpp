@@ -65,26 +65,6 @@ void accumulator::merge(const accumulator& other) {
   max_ = std::max(max_, other.max_);
 }
 
-histogram::histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), buckets_(buckets, 0) {
-  CILKPP_ASSERT(hi > lo, "histogram range must be nonempty");
-  CILKPP_ASSERT(buckets > 0, "histogram needs at least one bucket");
-}
-
-void histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::int64_t>(frac * static_cast<double>(buckets_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(buckets_.size()) - 1);
-  ++buckets_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double histogram::bucket_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(buckets_.size());
-}
-
-double histogram::bucket_high(std::size_t i) const { return bucket_low(i + 1); }
-
 // --- latency_histogram -----------------------------------------------------
 //
 // Geometry: values below 64 ns get one slot each (two exact octaves), then
@@ -308,18 +288,6 @@ std::string json_writer::take() {
   std::string result = std::move(out_);
   out_.clear();
   return result;
-}
-
-double histogram::percentile(double p) const {
-  CILKPP_ASSERT(p >= 0.0 && p <= 1.0, "percentile fraction out of range");
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<std::uint64_t>(p * static_cast<double>(total_));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen > target) return bucket_high(i);
-  }
-  return hi_;
 }
 
 }  // namespace cilkpp

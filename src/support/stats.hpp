@@ -36,29 +36,6 @@ class accumulator {
   double sum_ = 0;
 };
 
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples are clamped
-/// into the first/last bucket so totals always match the sample count.
-class histogram {
- public:
-  histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::uint64_t bucket_count(std::size_t i) const { return buckets_.at(i); }
-  std::size_t buckets() const { return buckets_.size(); }
-  std::uint64_t total() const { return total_; }
-  double bucket_low(std::size_t i) const;
-  double bucket_high(std::size_t i) const;
-
-  /// Value below which the given fraction of samples fall (bucket-resolution).
-  double percentile(double p) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t total_ = 0;
-};
-
 /// Log-bucketed latency histogram: HdrHistogram-style octave buckets with
 /// 32 linear sub-buckets per octave, so relative bucket error is bounded at
 /// ~3% across the whole nanosecond-to-minutes range while the table stays a

@@ -21,6 +21,9 @@
 
 namespace cilkpp::trace {
 
+/// Every frame — root, called, spawned or a parallel_for leaf, whether its
+/// body returned or threw — ends with one implicit sync_begin/sync_end pair
+/// at its current rank, right before its frame_end.
 enum class event_kind : std::uint8_t {
   frame_begin = 0,  ///< frame = new frame, aux64 = parent frame, aux32 = depth, aux16 = frame_kind
   frame_end = 1,    ///< frame = ending frame
@@ -30,7 +33,8 @@ enum class event_kind : std::uint8_t {
   steal = 5,        ///< frame = stolen child frame, aux64 = its parent, aux16 = victim worker
 };
 
-/// What kind of frame a frame_begin opens (mirrors rt::context::kind).
+/// What kind of frame a frame_begin opens. The runtime's own enum: each
+/// rt::context is built with one.
 enum class frame_kind : std::uint8_t { root = 0, spawned = 1, called = 2 };
 
 /// One trace record: 40 bytes, trivially copyable, written by exactly one

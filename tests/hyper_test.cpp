@@ -16,6 +16,7 @@
 #include <cmath>
 #include <vector>
 
+#include "alloc/slab.hpp"
 #include "hyper/holder.hpp"
 #include "hyper/monoid.hpp"
 #include "hyper/reducer.hpp"
@@ -702,6 +703,45 @@ TEST_P(ThrowingReduce, SurfacesAtTheSyncThatFolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ThrowingReduce, ::testing::Values(2u, 4u));
+
+// A reduce that throws while the root absorbs its final views drops only
+// its own view: every other view is still absorbed, and run() rethrows the
+// body's exception if there is one, and otherwise the reduce's. At P = 1 a
+// reducer has no view to absorb.
+class ThrowingAbsorb : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ThrowingAbsorb, KeepsTheOtherReducersUpdate) {
+  scheduler sched(GetParam());
+  for (const bool body_throws : {false, true}) {
+    SCOPED_TRACE(body_throws ? "the body throws" : "the body returns");
+    throws_on_both::throws = 0;
+    // first's leftmost value is not zero, so absorbing the root's view of
+    // it throws; the root touches it first, so its view is absorbed first.
+    reducer<throws_on_both> first(1);
+    reducer<throws_on_both> second;
+    const std::int64_t live_before = alloc::slab_totals().live_blocks();
+    try {
+      sched.run([&](context& ctx) {
+        first.view(ctx) += 1;
+        second.view(ctx) += 1;
+        if (body_throws) throw std::logic_error("body");
+      });
+      ADD_FAILURE() << "run() returned";
+    } catch (const std::logic_error&) {
+      EXPECT_TRUE(body_throws);
+    } catch (const std::runtime_error& e) {
+      EXPECT_FALSE(body_throws);
+      EXPECT_STREQ(e.what(), "reduce");
+    }
+    EXPECT_EQ(throws_on_both::throws.load(), 1);
+    EXPECT_EQ(first.value(), 1);  // the throwing reduce's view is dropped
+    EXPECT_EQ(second.value(), 1);
+    EXPECT_EQ(alloc::slab_totals().live_blocks(), live_before);
+    EXPECT_EQ(sched.run([](context&) { return 7; }), 7);  // still usable
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, ThrowingAbsorb, ::testing::Values(2u, 4u));
 
 // --- Multiple reducers in one computation. ---
 

@@ -1208,9 +1208,9 @@ TEST(ViewOwnership, ThrowingReduceInFoldDoesNotDoubleFree) {
 }
 
 TEST(ViewOwnership, ThrowingAbsorbAtRootDoesNotDoubleFree) {
-  // finish_root hands each final view to absorb_final; if the user reduce
-  // inside throws, the run's unwinding destroys the remaining view map,
-  // which must not re-delete the view just handed over.
+  // The root's end hands each final view to absorb_final; if the user
+  // reduce inside throws, the view map it came from must not re-delete the
+  // view just handed over.
   int live = 0;
   throwing_hyper h(&live, false, true);
   scheduler sched(2);
@@ -1247,7 +1247,7 @@ TEST(WideFanout, HundredThousandChildrenReducersAndEarliestException) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), ("child " + std::to_string(throw_b)).c_str());
   }
-  // finish_root_abandoned still absorbs completed strands' views.
+  // The root's end still absorbs completed strands' views.
   EXPECT_EQ(sum.value(), static_cast<std::uint64_t>(n));
 }
 

@@ -192,25 +192,6 @@ TEST(Accumulator, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(b.mean(), 1.5);
 }
 
-TEST(Histogram, CountsAndClamping) {
-  histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(-3.0);   // clamps into bucket 0
-  h.add(100.0);  // clamps into bucket 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(5), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-}
-
-TEST(Histogram, PercentileBucketResolution) {
-  histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.percentile(0.5), 51.0, 1.01);
-  EXPECT_NEAR(h.percentile(0.99), 100.0, 1.01);
-}
-
 // --- latency_histogram: the log-bucketed tail-latency store shared by the
 // serve layer and bench_jobserver. Geometry invariants first, then the
 // percentile contract on known distributions, then merge = replay.

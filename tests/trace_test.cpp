@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -487,6 +489,121 @@ TEST(EventCounts, DetachedRunBetweenTwoAttachedRunsAddsNothing) {
   EXPECT_EQ(second.points.sync_exit, first_points.sync_exit);
   EXPECT_EQ(second.points.spawn_push, second.points.task_run);
   EXPECT_EQ(second.points.steal_success, second.stats.steals);
+}
+
+// --- One end for every frame: a root or called frame ends with the
+// implicit sync a spawned frame runs, whether its body returned or threw. ---
+
+/// A program whose frames end every way a root or called frame can.
+struct frame_end_program {
+  const char* name;
+  void (*run)(context&);
+  std::uint64_t frames;  ///< the root, spawned and called frames
+  bool throws;           ///< run() rethrows a std::runtime_error
+};
+
+std::vector<frame_end_program> frame_end_programs() {
+  return {
+      {"root spawns and calls",
+       [](context& ctx) {
+         ctx.spawn([](context& c) { c.spawn([](context&) {}); });
+         ctx.call([](context& f) {
+           f.spawn([](context&) {});
+           f.call([](context&) {});
+         });
+         ctx.spawn([](context&) {});
+       },
+       7, false},
+      {"called frame's body throws",
+       [](context& ctx) {
+         try {
+           ctx.call([](context& f) {
+             f.spawn([](context&) {});
+             throw std::runtime_error("body");
+           });
+         } catch (const std::runtime_error&) {
+         }
+       },
+       3, false},
+      {"root's implicit sync meets a child's exception",
+       [](context& ctx) {
+         ctx.spawn([](context&) { throw std::runtime_error("child"); });
+         ctx.call([](context&) {});
+       },
+       3, true},
+  };
+}
+
+TEST(FrameEnds, EveryFrameRecordsOneImplicitSyncBracket) {
+  for (const frame_end_program& prog : frame_end_programs()) {
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(prog.name) + ", P=" + std::to_string(workers));
+      // Declared before the scheduler: the policy must outlive it.
+      hook_test::counting_policy policy;
+      scheduler sched(workers);
+      sched.install_chaos(&policy);
+      session cap(sched, session_options{std::size_t{1} << 12});
+      bool threw = false;
+      try {
+        sched.run(prog.run);
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+      EXPECT_EQ(threw, prog.throws);
+      const timeline t = cap.assemble();
+      sched.remove_chaos();
+      ASSERT_EQ(t.dropped, 0u);
+
+      // Implicit brackets per frame, and every sync event of the run.
+      std::map<std::uint64_t, std::uint64_t> implicit_begins;
+      std::map<std::uint64_t, std::uint64_t> implicit_ends;
+      std::uint64_t frames = 0;
+      std::uint64_t sync_begins = 0;
+      std::uint64_t sync_ends = 0;
+      // Each worker's previous event: a frame ends right after its
+      // implicit sync.
+      std::vector<const event*> previous(workers, nullptr);
+      for (const event& e : t.events) {
+        switch (e.kind) {
+          case event_kind::frame_begin:
+            ++frames;
+            implicit_begins.try_emplace(e.frame, 0);
+            implicit_ends.try_emplace(e.frame, 0);
+            break;
+          case event_kind::sync_begin:
+            ++sync_begins;
+            if (e.aux16 == 1) ++implicit_begins[e.frame];
+            break;
+          case event_kind::sync_end:
+            ++sync_ends;
+            if (e.aux16 == 1) ++implicit_ends[e.frame];
+            break;
+          case event_kind::frame_end: {
+            const event* last = previous[e.worker];
+            ASSERT_NE(last, nullptr);
+            EXPECT_EQ(last->kind, event_kind::sync_end);
+            EXPECT_EQ(last->frame, e.frame);
+            EXPECT_EQ(last->aux16, 1u);
+            break;
+          }
+          default:
+            break;
+        }
+        previous[e.worker] = &e;
+      }
+      EXPECT_EQ(frames, prog.frames);
+      EXPECT_EQ(implicit_begins.size(), frames);  // no sync of an unknown frame
+      for (const auto& [frame, n] : implicit_begins) {
+        EXPECT_EQ(n, 1u) << "frame " << frame;
+        EXPECT_EQ(implicit_ends[frame], 1u) << "frame " << frame;
+      }
+      // The chaos policy sees the same syncs the trace records.
+      const hook_test::run_points points = hook_test::run_points::of(policy);
+      EXPECT_EQ(points.sync_enter, sync_begins);
+      EXPECT_EQ(points.sync_exit, sync_ends);
+      EXPECT_EQ(sync_begins, sync_ends);
+    }
+  }
 }
 
 TEST(ChromeExport, EventCountMatchesRingTotalsAndNestingIsWellFormed) {
